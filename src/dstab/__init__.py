@@ -12,14 +12,12 @@ from .falsifier import (Counterexample, DiagonalSample, falsify, johnson_F,
 from .harness import (ExperimentStats, GeneratorStyle, RunConfig, check_matrix,
                       random_stable_matrix, run_experiment)
 from .matrix import (DEFAULT_MINOR_CAP, CharPoly, Matrix, MinorCapExceeded,
-                     MinorTable, SingularPivot, all_principal_minors,
-                     char_poly, classify_P, delete_index, det_complex,
-                     hurwitz_determinants, is_positive_stable, load_matrix,
-                     necessary_filter, parse_matrix, principal_minor,
-                     schur_complement)
-from .poly import IDENTICALLY_ZERO, MIXED, NONNEG, NONNEG_STRICT, Poly, poly_sum
-from .recursion import (DetPair, PairFG, alpha_set, build_tree, dump_tree,
-                        fg_pair, label_indices, leaf_pair, node_det_direct,
-                        surviving_indices)
+                     MinorTable, all_principal_minors, char_poly, classify_P,
+                     det_complex, hurwitz_determinants, is_positive_stable,
+                     load_matrix, necessary_filter, parse_matrix,
+                     principal_minor)
+from .poly import IDENTICALLY_ZERO, MIXED, NONNEG, NONNEG_STRICT, Poly
+from .recursion import (DetPair, PairFG, alpha_set, build_tree, fg_pair,
+                        leaf_pair, node_det_direct, surviving_indices)
 
 __version__ = "0.1.0"

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .matrix import Matrix, is_positive_stable, necessary_filter
+from .matrix import (Matrix, all_principal_minors, is_positive_stable,
+                     necessary_filter)
 from .poly import IDENTICALLY_ZERO, NONNEG_STRICT, Poly
 from .recursion import build_tree, fg_pair
 
@@ -227,55 +228,61 @@ def _certify_branch(poly: Poly, path: str, level: int, n: int, depth: int,
     return status
 
 
-def _run_single_test(a: Matrix, seed_name: str, depth: int, refine: bool,
-                     tree=None) -> TestReport:
-    f01, g01 = seed_polys(a, tree=tree)
-    root = f01 if seed_name == "F01" else g01
+def _run_single_test(root: Poly, n: int, depth: int,
+                     refine: bool) -> tuple[bool, list[NodeRecord]]:
+    """Certify one seed polynomial: (certified, records in level order)."""
     records: list[NodeRecord] = []
-    status = _certify_branch(root, "", 0, a.n, depth, refine, records)
+    status = _certify_branch(root, "", 0, n, depth, refine, records)
     records.sort(key=lambda r: (r.level, r.path))
-    verdict = CERTIFIED if status == _STRICT else INCONCLUSIVE
-    test = "I" if seed_name == "F01" else "II"
-    return TestReport(verdict, test=test, depth=depth, nodes=records)
+    return status == _STRICT, records
 
 
-def test_hierarchy(a: Matrix, which: str = "I", depth: int | None = None,
-                   refine: bool = False, tree=None,
-                   check_preconditions: bool = True) -> TestReport:
+def test_hierarchy(a: Matrix, which: str = "I",
+                   depth: int | str | None = None, refine: bool = False,
+                   tree=None, check_preconditions: bool = True) -> TestReport:
     """Depth-limited sufficient test on the branched coefficient trees.
 
     ``which`` selects the seed: "I" (F(0,1)), "II" (G(0,1)) or "both".
+    ``depth`` is an integer in 0..n-2 (default n-2) or "auto", which walks
+    the depths upward over the same seeds and returns the first that
+    certifies (else the depth n-2 report).
     Certification is hierarchical with early stopping: a branch whose node
     polynomial certifies positive (by coefficient signs or, with ``refine``,
     by quadratic-discriminant analysis on nodes of at most two variables)
     is not expanded further.  Never returns a false Certified.
     """
     n = a.n
+    top = max(n - 2, 0)
     if depth is None:
-        depth = max(n - 2, 0)
-    if not 0 <= depth <= max(n - 2, 0):
-        raise ValueError("depth must lie in 0..n-2")
+        depth = top
+    if depth == "auto":
+        depths = range(top + 1)
+    elif depth in range(top + 1):
+        depths = [depth]
+    else:
+        raise ValueError(f"depth must be 'auto' or an integer in 0..{top}")
     if check_preconditions:
         if not is_positive_stable(a):
             return TestReport(NOT_STABLE, detail="matrix is not positive stable")
-        if not necessary_filter(a):
+        minors = all_principal_minors(a)
+        if not necessary_filter(a, minors=minors):
             return TestReport(FAILED_NECESSARY,
                               detail="matrix is not a P0+-matrix")
-    if tree is None:
-        tree = build_tree(a)
-    if which in ("I", "II"):
-        return _run_single_test(a, "F01" if which == "I" else "G01",
-                                depth, refine, tree=tree)
-    if which != "both":
+        if tree is None:
+            tree = build_tree(a, minors=minors)
+    if which not in ("I", "II", "both"):
         raise ValueError("which must be 'I', 'II' or 'both'")
-    rep1 = _run_single_test(a, "F01", depth, refine, tree=tree)
-    if rep1.verdict == CERTIFIED:
-        rep1.test = "both"
-        return rep1
-    rep2 = _run_single_test(a, "G01", depth, refine, tree=tree)
-    rep2.test = "both"
-    rep2.nodes = rep1.nodes + rep2.nodes
-    return rep2
+    f01, g01 = seed_polys(a, tree)
+    roots = {"I": [f01], "II": [g01], "both": [f01, g01]}[which]
+    for k in depths:
+        # "both" reports Test I's nodes followed by Test II's
+        nodes: list[NodeRecord] = []
+        for root in roots:
+            certified, records = _run_single_test(root, n, k, refine)
+            nodes += records
+            if certified:
+                return TestReport(CERTIFIED, test=which, depth=k, nodes=nodes)
+    return TestReport(INCONCLUSIVE, test=which, depth=k, nodes=nodes)
 
 
 def step1_sufficient(a: Matrix, tree=None) -> TestReport:
@@ -315,10 +322,6 @@ class Quadratic:
         if self.a == 0:
             raise ValueError("linear polynomial has no vertex")
         return Fraction(-self.b) / (2 * self.a)
-
-    @property
-    def vertex_value(self) -> Fraction:
-        return Fraction(-self.discriminant) / (4 * self.a)
 
 
 def make_quadratic(a, b, c) -> Quadratic:

@@ -53,7 +53,8 @@ def _minor_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(
+            f"DSTAB_MINOR_CAP must be an integer, got {raw!r}") from None
 
 
 def _depth_arg(value: str):
@@ -179,7 +180,7 @@ def cmd_expand(args) -> int:
                "n": a.n, "F01": f.render(), "G01": g.render()}
     lines = [f"F(0,1) = {f.render()}", f"G(0,1) = {g.render()}"]
     if args.depth > 0:
-        ct = coeff_tree(a, seed=args.seed_name, depth=args.depth)
+        ct = coeff_tree(a, seed=args.seed_name, depth=args.depth, tree=tree)
         payload["tree"] = {path: p.render() for path, p in
                            sorted(ct.nodes.items())}
         payload["tree_seed"] = args.seed_name

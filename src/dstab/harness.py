@@ -29,19 +29,8 @@ class RunConfig:
     refine: bool = False
     permutations: int = 0
     falsify_trials: int = 0
-    falsify_range: tuple[float, float] = (1e-3, 1e3)
     seed: int = 0
     minor_cap: int = DEFAULT_MINOR_CAP
-
-
-def _depth_schedule(n: int, depth: int | str) -> list[int]:
-    top = max(n - 2, 0)
-    if depth == "auto":
-        return list(range(top + 1))
-    depth = int(depth)
-    if not 0 <= depth <= top:
-        raise ValueError(f"depth must be 'auto' or an integer in 0..{top}")
-    return [depth]
 
 
 def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
@@ -49,7 +38,8 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
 
     Cheap filters first: exact stability, then the P0+ necessary condition,
     then (optionally) the randomized falsifier, then the step-1 sufficient
-    test and finally the depth/permutation schedule of the hierarchy.
+    test and finally one hierarchy run per permutation.  The minor table is
+    enumerated once; permuted retries relabel it.
     """
     cfg = cfg or RunConfig()
     if a.n == 1:
@@ -64,9 +54,7 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
         return TestReport(FAILED_NECESSARY,
                           detail="matrix is not a P0+-matrix")
     if cfg.falsify_trials > 0:
-        lo, hi = cfg.falsify_range
-        found = falsify(a, trials=cfg.falsify_trials, seed=cfg.seed,
-                        lo=lo, hi=hi)
+        found = falsify(a, trials=cfg.falsify_trials, seed=cfg.seed)
         if found is not None:
             return TestReport(FALSIFIED, counterexample=found,
                               detail="positive diagonal with nonpositive "
@@ -75,7 +63,6 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
     report = step1_sufficient(a, tree=tree)
     if report.verdict == CERTIFIED:
         return report
-    last = report
     rng = random.Random(cfg.seed)
     perms: list[Optional[tuple[int, ...]]] = [None]
     for _ in range(cfg.permutations):
@@ -87,16 +74,14 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
             mat, mat_tree = a, tree
         else:
             mat = a.permuted(perm)
-            mat_tree = build_tree(mat)
-        for depth in _depth_schedule(a.n, cfg.depth):
-            rep = test_hierarchy(mat, which=cfg.test, depth=depth,
-                                 refine=cfg.refine, tree=mat_tree,
-                                 check_preconditions=False)
-            rep.permutation = perm
-            if rep.verdict == CERTIFIED:
-                return rep
-            last = rep
-    return last
+            mat_tree = build_tree(mat, minors=minors.permuted(perm))
+        report = test_hierarchy(mat, which=cfg.test, depth=cfg.depth,
+                                refine=cfg.refine, tree=mat_tree,
+                                check_preconditions=False)
+        report.permutation = perm
+        if report.verdict == CERTIFIED:
+            break
+    return report
 
 
 # ---------------------------------------------------------------------------

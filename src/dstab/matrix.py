@@ -1,8 +1,8 @@
 """Exact rational matrix arithmetic for the stability certification pipeline.
 
 Everything here works over arbitrary-precision rationals: determinants and
-principal minors (fraction-free Bareiss elimination), Schur complements,
-characteristic polynomials (Faddeev-LeVerrier) and a strict Routh-Hurwitz
+principal minors (fraction-free Bareiss elimination), characteristic
+polynomials (Faddeev-LeVerrier) and a strict Routh-Hurwitz
 stability decision.  Indices in the public API are 1-based, matching the
 usual linear-algebra convention.
 """
@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .poly import as_exact
 
 DEFAULT_MINOR_CAP = 12
 
@@ -26,33 +28,13 @@ class MinorCapExceeded(RuntimeError):
     """Raised when a full minor enumeration would exceed the dimension cap."""
 
 
-class SingularPivot(ZeroDivisionError):
-    """Raised when a Schur complement pivot vanishes."""
-
-
-def _frac(x):
-    """Exact rational scalar; integral values are kept as plain ints.
-
-    int and Fraction compare and hash equal, and int arithmetic is far
-    cheaper, so integer matrices stay integer all the way through the
-    fraction-free elimination below.
-    """
-    if isinstance(x, int):
-        return x
-    if isinstance(x, float):
-        x = Fraction(x).limit_denominator(10**12)
-    elif not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _ratio(x, y) -> Fraction:
-    """Exact quotient of two rational scalars (never a float)."""
-    return Fraction(x) / y
-
-
 class Matrix:
-    """Dense square matrix of exact rationals."""
+    """Dense square matrix of exact rationals.
+
+    Entries are converted with ``as_exact``: floats are taken at their exact
+    binary value, and integral values are kept as plain ints so that integer
+    matrices stay integer through the fraction-free elimination below.
+    """
 
     __slots__ = ("n", "rows")
 
@@ -64,7 +46,7 @@ class Matrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            out.append(tuple(_frac(x) for x in row))
+            out.append(tuple(as_exact(x) for x in row))
         self.n = n
         self.rows = tuple(out)
 
@@ -99,7 +81,7 @@ class Matrix:
         return Matrix(list(zip(*self.rows)))
 
     def scale(self, c) -> "Matrix":
-        c = _frac(c)
+        c = as_exact(c)
         return Matrix([[c * x for x in row] for row in self.rows])
 
     def permuted(self, perm: Sequence[int]) -> "Matrix":
@@ -224,6 +206,16 @@ class MinorTable:
     def items(self):
         return self.values.items()
 
+    def permuted(self, perm: Sequence[int]) -> "MinorTable":
+        """The table of ``a.permuted(perm)``, relabelled without a determinant.
+
+        The minor of P^T A P on positions S is the minor of A on perm(S).
+        """
+        position = {index: k for k, index in enumerate(perm, start=1)}
+        return MinorTable(self.n, {
+            frozenset(position[i] for i in alpha): val
+            for alpha, val in self.values.items()})
+
     def order_sums(self) -> list[Fraction]:
         """Sum of all principal minors of order k, for k = 1..n."""
         sums = [0] * self.n
@@ -245,33 +237,6 @@ def all_principal_minors(a: Matrix, cap: int = DEFAULT_MINOR_CAP) -> MinorTable:
 
 
 # ---------------------------------------------------------------------------
-# deletion / Schur complement
-
-
-def delete_index(a: Matrix, i: int) -> Matrix:
-    """Remove row and column i (1-based)."""
-    if a.n == 1:
-        raise ValueError("cannot delete from a 1x1 matrix")
-    if not 1 <= i <= a.n:
-        raise ValueError("index out of range")
-    keep = [k for k in range(1, a.n + 1) if k != i]
-    return a.submatrix(keep)
-
-
-def schur_complement(a: Matrix) -> Matrix:
-    """Schur complement of the last diagonal entry a_nn."""
-    n = a.n
-    pivot = a.rows[n - 1][n - 1]
-    if pivot == 0:
-        raise SingularPivot("a_nn = 0: Schur complement undefined")
-    if n == 1:
-        raise ValueError("Schur complement needs n >= 2")
-    return Matrix([[a.rows[i][j] - _ratio(a.rows[i][n - 1] * a.rows[n - 1][j],
-                                          pivot)
-                    for j in range(n - 1)] for i in range(n - 1)])
-
-
-# ---------------------------------------------------------------------------
 # characteristic polynomial and stability
 
 
@@ -285,13 +250,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x) -> Fraction:
-        x = _frac(x)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
 
 def char_poly(a: Matrix) -> CharPoly:
     """Exact characteristic polynomial via Faddeev-LeVerrier."""
@@ -302,7 +260,7 @@ def char_poly(a: Matrix) -> CharPoly:
     for k in range(1, n + 1):
         am = a @ m
         trace = sum(am.rows[i][i] for i in range(n))
-        bk = _frac(_ratio(-trace, k))
+        bk = as_exact(Fraction(-trace, k))
         b[n - k] = bk
         if k < n:
             m = Matrix([[am.rows[i][j] + (bk if i == j else 0)

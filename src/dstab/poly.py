@@ -21,8 +21,13 @@ NONNEG_STRICT = "nonneg_strict"
 MIXED = "mixed"
 
 
-def _as_exact(x):
-    """Exact rational scalar, demoted to int when the value is integral."""
+def as_exact(x):
+    """Exact rational scalar, demoted to int when the value is integral.
+
+    Floats are taken at their exact binary value (``Fraction(0.1)`` is not
+    1/10), so no input is rounded.  int and Fraction compare and hash equal,
+    and int arithmetic is far cheaper.
+    """
     if isinstance(x, int):
         return x
     if not isinstance(x, Fraction):
@@ -39,7 +44,7 @@ class Poly:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_exact(coeff)
+                coeff = as_exact(coeff)
                 if coeff != 0:
                     clean[mono] = coeff
         self.terms = clean
@@ -50,7 +55,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({(): _as_exact(c)})
+        return Poly({(): as_exact(c)})
 
     @staticmethod
     def var(i: int) -> "Poly":
@@ -76,14 +81,6 @@ class Poly:
             for v, _ in mono:
                 out.add(v)
         return out
-
-    def degree_in(self, i: int) -> int:
-        deg = 0
-        for mono in self.terms:
-            for v, e in mono:
-                if v == i and e > deg:
-                    deg = e
-        return deg
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -130,18 +127,11 @@ class Poly:
         return p
 
     def scale(self, r) -> "Poly":
-        r = _as_exact(r)
+        r = as_exact(r)
         if r == 0:
             return Poly.zero()
         p = Poly.__new__(Poly)
         p.terms = {m: c * r for m, c in self.terms.items()}
-        return p
-
-    def substitute_zero(self, i: int) -> "Poly":
-        """Drop every monomial that contains variable d_i (set d_i := 0)."""
-        p = Poly.__new__(Poly)
-        p.terms = {m: c for m, c in self.terms.items()
-                   if all(v != i for v, _ in m)}
         return p
 
     def collect(self, i: int) -> tuple["Poly", "Poly", "Poly"]:
@@ -183,7 +173,7 @@ class Poly:
         for mono, coeff in self.terms.items():
             val = coeff
             for v, e in mono:
-                val *= _as_exact(point[v]) ** e
+                val *= as_exact(point[v]) ** e
             total += val
         return total
 
@@ -243,10 +233,3 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
     return tuple(sorted(exps.items()))
-
-
-def poly_sum(polys: Iterable[Poly]) -> Poly:
-    total = Poly.zero()
-    for p in polys:
-        total = total + p
-    return total

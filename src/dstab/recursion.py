@@ -47,14 +47,6 @@ class PairFG:
     G: Poly
 
 
-def label_indices(label: str, n: int) -> list[int]:
-    """Matrix indices covered by the label, in increasing order."""
-    k = len(label)
-    if k > n:
-        raise ValueError("label longer than matrix dimension")
-    return list(range(n - k + 1, n + 1))
-
-
 def alpha_set(label: str, n: int) -> list[int]:
     """Indices kept with their diagonal variable zeroed (bit 1)."""
     start = n - len(label) + 1
@@ -158,13 +150,3 @@ def fg_pair(a: DetPair, b: DetPair) -> PairFG:
     f = a.P * b.P + a.Q * b.Q
     g = a.P * b.Q - a.Q * b.P
     return PairFG((a.label, b.label), f, g)
-
-
-def dump_tree(nodes: dict[str, DetPair]) -> str:
-    """Debug rendering: one line per node in label order."""
-    lines = []
-    for label in sorted(nodes, key=lambda s: (len(s), s)):
-        node = nodes[label]
-        shown = label if label else "(root)"
-        lines.append(f"{shown}: P = {node.P.render()}; Q = {node.Q.render()}")
-    return "\n".join(lines)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dstab.certifier import (CERTIFIED, FAILED_NECESSARY, INCONCLUSIVE,
                              NOT_STABLE, IntervalSet, coeff_tree,
@@ -135,6 +137,43 @@ def test_both_mode_falls_through_to_second_seed():
         hierarchy(a, which="III")
     with pytest.raises(ValueError):
         hierarchy(a, depth=7)
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer matrices with a small positive diagonal, n = 3..5; most pass
+    the preconditions, and a few certify only at depth 1 or deeper."""
+    n = draw(st.integers(3, 5))
+    return Matrix([[draw(st.integers(1, 3)) if i == j
+                    else draw(st.integers(-2, 2)) for j in range(n)]
+                   for i in range(n)])
+
+
+@st.composite
+def olp_variants(draw):
+    """D*P^T A P (or its transpose) for the worked example A: D-stable, and
+    often certified only at depth 2 or 3."""
+    a = OLP.permuted(draw(st.permutations(range(1, 6))))
+    d = draw(st.lists(st.integers(1, 3), min_size=5, max_size=5))
+    a = Matrix([[d[i] * x for x in row] for i, row in enumerate(a.rows)])
+    return a.transpose() if draw(st.booleans()) else a
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.one_of(small_matrices(), olp_variants()),
+       which=st.sampled_from(["I", "II", "both"]), refine=st.booleans())
+@example(a=OLP, which="I", refine=True)
+def test_auto_depth_is_the_lowest_certifying_depth(a, which, refine):
+    auto = hierarchy(a, which=which, depth="auto", refine=refine)
+    # depth None (a failed precondition) reruns at the default depth
+    fixed = hierarchy(a, which=which, depth=auto.depth, refine=refine)
+    assert fixed.to_dict() == auto.to_dict()
+    if auto.verdict == CERTIFIED:
+        for k in range(auto.depth):
+            assert hierarchy(a, which=which, depth=k,
+                             refine=refine).verdict == INCONCLUSIVE
+    elif auto.verdict == INCONCLUSIVE:
+        assert auto.depth == a.n - 2
 
 
 def test_certified_report_is_serializable():

@@ -110,6 +110,12 @@ def test_minor_cap_env_override(capsys, tmp_path, monkeypatch):
     assert code == 3  # cap exceeded surfaces as an operational error
     monkeypatch.setenv("DSTAB_MINOR_CAP", "12")
     assert main(["minors", str(p)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("DSTAB_MINOR_CAP", "many")
+    assert main(["minors", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dstab: error: ")
+    assert "DSTAB_MINOR_CAP" in err and "'many'" in err
 
 
 def test_expand_seed_polynomials(capsys, olp_file):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dstab import certifier, harness, recursion
 from dstab.certifier import CERTIFIED, FAILED_NECESSARY, INCONCLUSIVE, NOT_STABLE
 from dstab.harness import (GeneratorStyle, RunConfig, check_matrix,
                            random_stable_matrix, run_experiment)
@@ -51,6 +52,31 @@ def test_pipeline_permutation_retries_recorded():
     assert rep.verdict == CERTIFIED
     # the unpermuted matrix certifies, so no permutation should be reported
     assert rep.permutation is None
+
+
+def test_check_makes_one_minor_table_and_one_seed_per_permutation(
+        monkeypatch):
+    calls = {"seed_polys": 0, "all_principal_minors": 0}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(certifier, "seed_polys")
+    for owner in (harness, recursion):
+        count(owner, "all_principal_minors")
+    cfg = RunConfig(test="both", depth="auto", refine=True, permutations=2)
+    rep = check_matrix(random_stable_matrix(6, 0), cfg)
+    # every permutation is tried, each at every depth
+    assert rep.verdict == INCONCLUSIVE and rep.permutation is not None
+    assert rep.depth == 4
+    # step 1, then one seed product per permutation (the identity included)
+    assert calls == {"seed_polys": 1 + (1 + cfg.permutations),
+                     "all_principal_minors": 1}
 
 
 def test_generator_style_parse():

@@ -7,11 +7,10 @@ import pytest
 import sympy
 
 from dstab.matrix import (DEFAULT_MINOR_CAP, Matrix, MinorCapExceeded,
-                          SingularPivot, all_principal_minors, char_poly,
-                          classify_P, delete_index, det_complex,
-                          hurwitz_determinants, is_positive_stable,
-                          necessary_filter, parse_matrix, principal_minor,
-                          schur_complement)
+                          all_principal_minors, char_poly, classify_P,
+                          det_complex, hurwitz_determinants,
+                          is_positive_stable, necessary_filter, parse_matrix,
+                          principal_minor)
 
 
 def random_matrix(rng, n, lo=-9, hi=9, denom=1):
@@ -64,6 +63,14 @@ def test_entries_demoted_to_int():
     assert isinstance(a[2, 1], Fraction)
 
 
+def test_float_entries_are_taken_exactly():
+    a = Matrix([[0.1, 0.3], [1e-13, 2.0]])
+    assert a[2, 1] == Fraction(1e-13) != 0
+    assert a[1, 1] == Fraction(0.1) != Fraction(1, 10)
+    assert isinstance(a[2, 2], int) and a[2, 2] == 2
+    assert a.scale(0.5)[2, 2] == 1
+
+
 def test_matmul_transpose_permute():
     rng = random.Random(3)
     a = random_matrix(rng, 4, denom=3)
@@ -76,6 +83,8 @@ def test_matmul_transpose_permute():
         for j in range(1, 5):
             assert p[i, j] == a[perm[i - 1], perm[j - 1]]
     assert a.permuted((1, 2, 3, 4)) == a
+    assert all_principal_minors(a).permuted(perm).values \
+        == all_principal_minors(p).values
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +137,6 @@ def test_minor_cap():
     assert DEFAULT_MINOR_CAP >= 7
 
 
-def test_delete_index():
-    a = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    b = delete_index(a, 2)
-    assert b.rows == ((1, 3), (7, 9))
-    with pytest.raises(ValueError):
-        delete_index(Matrix([[1]]), 1)
-
-
-def test_schur_complement_determinant_identity():
-    rng = random.Random(41)
-    for _ in range(50):
-        n = rng.randint(2, 5)
-        a = random_matrix(rng, n, denom=3)
-        if a[n, n] == 0:
-            continue
-        s = schur_complement(a)
-        assert s.det() * a[n, n] == a.det()
-    with pytest.raises(SingularPivot):
-        schur_complement(Matrix([[1, 2], [3, 0]]))
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial and stability
 
@@ -170,7 +158,8 @@ def test_char_poly_against_sympy():
 def test_char_poly_evaluation():
     a = Matrix([[2, 1], [0, 3]])
     cp = char_poly(a)
-    assert cp(2) == 0 and cp(3) == 0 and cp(0) == 6
+    # det(A - lambda*I) = (2 - lambda)(3 - lambda) = 6 - 5*lambda + lambda^2
+    assert cp.coeffs == (6, -5, 1)
     assert cp.degree == 2
 
 

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dstab.poly import (IDENTICALLY_ZERO, MIXED, NONNEG_STRICT, Poly,
-                        poly_sum)
+from dstab.poly import IDENTICALLY_ZERO, MIXED, NONNEG_STRICT, Poly
 
 
 def random_poly(rng, nvars=3, nterms=5, maxexp=2):
@@ -59,14 +58,6 @@ def test_collect_rejects_high_degree():
         p.collect(1)
     # other variables are unaffected
     assert p.collect(2)[0] == p
-
-
-def test_substitute_zero_is_the_constant_part():
-    rng = random.Random(23)
-    for _ in range(100):
-        p = random_poly(rng, nvars=4, nterms=8)
-        for v in (1, 2, 3, 4):
-            assert p.substitute_zero(v) == p.collect(v)[0]
 
 
 def test_evaluate_matches_term_sum():
@@ -127,9 +118,3 @@ def test_render_and_sorted_terms():
     assert Poly.var(3).render() == "d3"
     degs = [sum(e for _, e in m) for m, _ in p.sorted_terms()]
     assert degs == sorted(degs)
-
-
-def test_poly_sum():
-    parts = [Poly.var(i) for i in (1, 2, 3)]
-    assert poly_sum(parts) == Poly.var(1) + Poly.var(2) + Poly.var(3)
-    assert poly_sum([]) == Poly.zero()

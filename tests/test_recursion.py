@@ -6,9 +6,8 @@ import pytest
 
 from dstab.matrix import Matrix, all_principal_minors, det_complex, principal_minor
 from dstab.poly import Poly
-from dstab.recursion import (alpha_set, build_tree, dump_tree, fg_pair,
-                             label_indices, leaf_pair, node_det_direct,
-                             surviving_indices)
+from dstab.recursion import (alpha_set, build_tree, fg_pair, leaf_pair,
+                             node_det_direct, surviving_indices)
 
 
 def random_matrix(rng, n, denom=1):
@@ -17,14 +16,10 @@ def random_matrix(rng, n, denom=1):
 
 
 def test_label_index_sets():
-    assert label_indices("", 5) == []
-    assert label_indices("01", 5) == [4, 5]
     assert alpha_set("01", 5) == [5]
     assert alpha_set("10", 5) == [4]
     assert surviving_indices("01", 5) == [1, 2, 3, 5]
     assert surviving_indices("", 3) == [1, 2, 3]
-    with pytest.raises(ValueError):
-        label_indices("0000", 3)
 
 
 def test_tree_matches_direct_expansion():
@@ -178,10 +173,3 @@ def test_fg_child_recurrences():
             f11 = fg_pair(tree["1" + s], tree["1" + t])
             assert f.F == f00.F * d * d + (f01.G - f10.G) * d + f11.F
             assert f.G == f00.G * d * d + (f10.F - f01.F) * d + f11.G
-
-
-def test_dump_tree_renders_every_node():
-    a = Matrix([[2, 1], [1, 3]])
-    text = dump_tree(build_tree(a))
-    assert "(root)" in text
-    assert text.count("\n") == 2  # root plus two depth-1 nodes
