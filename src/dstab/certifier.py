@@ -108,7 +108,7 @@ def seed_polys(a: Matrix, tree=None) -> tuple[Poly, Poly]:
     if a.n < 2:
         raise ValueError("seed polynomials need n >= 2")
     if tree is None:
-        tree = build_tree(a)
+        tree = build_tree(a, depth=1)
     pair = fg_pair(tree["0"], tree["1"])
     return pair.F, pair.G
 
@@ -269,7 +269,7 @@ def test_hierarchy(a: Matrix, which: str = "I",
             return TestReport(FAILED_NECESSARY,
                               detail="matrix is not a P0+-matrix")
         if tree is None:
-            tree = build_tree(a, minors=minors)
+            tree = build_tree(a, depth=1, minors=minors)
     if which not in ("I", "II", "both"):
         raise ValueError("which must be 'I', 'II' or 'both'")
     f01, g01 = seed_polys(a, tree)

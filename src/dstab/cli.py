@@ -174,7 +174,8 @@ def cmd_minors(args) -> int:
 
 def cmd_expand(args) -> int:
     a = load_matrix(args.file)
-    tree = build_tree(a, minors=all_principal_minors(a, cap=_minor_cap()))
+    tree = build_tree(a, depth=1,
+                      minors=all_principal_minors(a, cap=_minor_cap()))
     f, g = seed_polys(a, tree)
     payload = {"schema": REPORT_SCHEMA, "command": "expand",
                "n": a.n, "F01": f.render(), "G01": g.render()}

@@ -59,7 +59,7 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
             return TestReport(FALSIFIED, counterexample=found,
                               detail="positive diagonal with nonpositive "
                                      "spectral margin")
-    tree = build_tree(a, minors=minors)
+    tree = build_tree(a, depth=1, minors=minors)
     report = step1_sufficient(a, tree=tree)
     if report.verdict == CERTIFIED:
         return report
@@ -74,7 +74,8 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
             mat, mat_tree = a, tree
         else:
             mat = a.permuted(perm)
-            mat_tree = build_tree(mat, minors=minors.permuted(perm))
+            mat_tree = build_tree(mat, depth=1,
+                                  minors=minors.permuted(perm))
         report = test_hierarchy(mat, which=cfg.test, depth=cfg.depth,
                                 refine=cfg.refine, tree=mat_tree,
                                 check_preconditions=False)
@@ -211,6 +212,8 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
     Each trial draws its matrix from a seed derived from (seed, trial), so
     results are reproducible and order-independent.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     if isinstance(style, str):
         style = GeneratorStyle.parse(style)
     if depth is None:
@@ -222,6 +225,10 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         # Every verdict below is invariant under positive scaling, and
         # integer entries make the exact arithmetic much cheaper.
         a = random_stable_matrix(n, trial_seed, style).scale(100)
+        if n == 1:
+            # a stable 1x1 matrix is a positive scalar, trivially D-stable
+            counts[CERTIFIED] += 1
+            continue
         minors = all_principal_minors(a)
         if not necessary_filter(a, minors=minors):
             counts[FAILED_NECESSARY] += 1
@@ -231,7 +238,7 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
                 counts[FALSIFIED] += 1
                 continue
         rep = test_hierarchy(a, which=test, depth=depth, refine=refine,
-                             tree=build_tree(a, minors=minors),
+                             tree=build_tree(a, depth=1, minors=minors),
                              check_preconditions=False)
         counts[rep.verdict] += 1
     stats = ExperimentStats(n=n, trials=trials, seed=seed,

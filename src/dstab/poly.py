@@ -2,10 +2,19 @@
 
 Coefficients are exact rationals, stored as plain ints whenever the value
 is integral (int arithmetic is much faster than Fraction and the two
-compare and hash equal).  A monomial is stored as a tuple of
-(variable, exponent) pairs sorted by variable index; the empty tuple is the
-constant monomial.  Zero coefficients are never stored, so two equal
-polynomials always have identical term dictionaries.
+compare and hash equal).  A monomial is stored as one packed int: the
+exponent of d_v sits in the ``EXP_BITS``-wide field starting at bit
+``EXP_BITS*(v-1)``, so 0 is the constant monomial, a monomial product is an
+integer addition and collecting a variable is a shift and a mask.  The top
+bit of every field is a guard: exponents stay at or below ``MAX_EXP``, so
+adding two keys never carries into the next field, and a product whose
+exponent would pass the limit is refused instead of wrapping.  Zero
+coefficients are never stored, so two equal polynomials always have
+identical term dictionaries.
+
+The public interface speaks in (variable, exponent) pairs: the constructor
+takes them, and ``sorted_terms``, ``coefficient``, ``evaluate``,
+``variables`` and ``render`` decode the keys.
 """
 
 from __future__ import annotations
@@ -13,7 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Monomial = tuple  # tuple[(var, exp), ...], var >= 1, exp >= 1
+Monomial = tuple  # tuple[(var, exp), ...] sorted by var, var >= 1, exp >= 1
+
+EXP_BITS = 8
+MAX_EXP = (1 << (EXP_BITS - 1)) - 1
+MAX_VAR = 64
+_FIELD = (1 << EXP_BITS) - 1
+_GUARDS = sum(1 << (EXP_BITS * v - 1) for v in range(1, MAX_VAR + 1))
 
 IDENTICALLY_ZERO = "identically_zero"
 NONNEG = "nonneg"
@@ -35,19 +50,56 @@ def as_exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _encode(mono: Iterable[tuple[int, int]]) -> int:
+    """Packed key of a monomial given as (var, exp) pairs.
+
+    Pairs may come in any order; a repeated variable multiplies (its
+    exponents add) and zero exponents are ignored.
+    """
+    key = 0
+    for v, e in mono:
+        if not 1 <= v <= MAX_VAR:
+            raise ValueError(f"variable indices lie in 1..{MAX_VAR}, got {v}")
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of d{v}")
+        shift = EXP_BITS * (v - 1)
+        if ((key >> shift) & _FIELD) + e > MAX_EXP:
+            raise OverflowError(f"exponent of d{v} exceeds {MAX_EXP}")
+        key += e << shift
+    return key
+
+
+def _decode(key: int) -> Monomial:
+    """(var, exp) pairs of a packed key, sorted by variable."""
+    out = []
+    v = 1
+    while key:
+        e = key & _FIELD
+        if e:
+            out.append((v, e))
+        key >>= EXP_BITS
+        v += 1
+    return tuple(out)
+
+
+def _wrap(terms: dict) -> "Poly":
+    p = Poly.__new__(Poly)
+    p.terms = terms
+    return p
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = as_exact(coeff)
-                if coeff != 0:
-                    clean[mono] = coeff
-        self.terms = clean
+                key = _encode(mono)
+                clean[key] = clean.get(key, 0) + as_exact(coeff)
+        self.terms = {k: as_exact(c) for k, c in clean.items() if c != 0}
 
     @staticmethod
     def zero() -> "Poly":
@@ -59,28 +111,25 @@ class Poly:
 
     @staticmethod
     def var(i: int) -> "Poly":
-        if i < 1:
-            raise ValueError("variable indices are 1-based")
         return Poly({((i, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
+        present = 0
+        for key in self.terms:
+            present |= key
+        return {v for v, _ in _decode(present)}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -98,14 +147,10 @@ class Poly:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        p = Poly.__new__(Poly)
-        p.terms = terms
-        return p
+        return _wrap(terms)
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -113,26 +158,29 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[int, Fraction] = {}
+        get = terms.get
+        right = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                s = terms.get(mono, 0) + c1 * c2
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-        p = Poly.__new__(Poly)
-        p.terms = terms
-        return p
+            for m2, c2 in right:
+                m = m1 + m2
+                terms[m] = get(m, 0) + c1 * c2
+        clean = {}
+        present = 0
+        for m, c in terms.items():
+            if c:
+                clean[m] = c
+                present |= m
+        # a set guard bit is an exponent past MAX_EXP; no field carried
+        if present & _GUARDS:
+            raise OverflowError(f"product has an exponent above {MAX_EXP}")
+        return _wrap(clean)
 
     def scale(self, r) -> "Poly":
         r = as_exact(r)
         if r == 0:
             return Poly.zero()
-        p = Poly.__new__(Poly)
-        p.terms = {m: c * r for m, c in self.terms.items()}
-        return p
+        return _wrap({m: c * r for m, c in self.terms.items()})
 
     def collect(self, i: int) -> tuple["Poly", "Poly", "Poly"]:
         """Split into (p0, p1, p2) with self == p2*d_i^2 + p1*d_i + p0.
@@ -140,29 +188,18 @@ class Poly:
         The returned parts do not contain d_i.  Raises if the degree in d_i
         exceeds 2.
         """
-        parts = [{}, {}, {}]
-        for mono, coeff in self.terms.items():
-            exp = 0
-            rest = []
-            for v, e in mono:
-                if v == i:
-                    exp = e
-                else:
-                    rest.append((v, e))
+        shift = EXP_BITS * (i - 1)
+        parts: tuple[dict, dict, dict] = ({}, {}, {})
+        for key, coeff in self.terms.items():
+            exp = (key >> shift) & _FIELD
             if exp > 2:
                 raise ValueError(f"degree in d_{i} exceeds 2")
-            parts[exp][tuple(rest)] = coeff
-        out = []
-        for part in parts:
-            p = Poly.__new__(Poly)
-            p.terms = part
-            out.append(p)
-        return out[0], out[1], out[2]
+            parts[exp][key - (exp << shift)] = coeff
+        return _wrap(parts[0]), _wrap(parts[1]), _wrap(parts[2])
 
     def coefficient(self, mono: Iterable[tuple[int, int]]) -> Fraction:
         """Coefficient of an explicit monomial, given as (var, exp) pairs."""
-        key = tuple(sorted((v, e) for v, e in mono if e))
-        return self.terms.get(key, 0)
+        return self.terms.get(_encode(mono), 0)
 
     def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
         """Exact value at a point assigning every variable of the polynomial."""
@@ -170,9 +207,9 @@ class Poly:
         if missing:
             raise ValueError(f"point does not assign variables {sorted(missing)}")
         total = Fraction(0)
-        for mono, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             val = coeff
-            for v, e in mono:
+            for v, e in _decode(key):
                 val *= as_exact(point[v]) ** e
             total += val
         return total
@@ -193,12 +230,13 @@ class Poly:
         return MIXED
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms ordered by total degree, then lexicographically by variable."""
+        """(monomial, coefficient) pairs ordered by total degree, then
+        lexicographically by the monomial's (var, exp) pairs."""
         def key(item):
             mono, _ = item
-            total = sum(e for _, e in mono)
-            return (total, mono)
-        return sorted(self.terms.items(), key=key)
+            return (sum(e for _, e in mono), mono)
+        return sorted(((_decode(k), c) for k, c in self.terms.items()),
+                      key=key)
 
     def render(self) -> str:
         """Canonical text form, e.g. ``3 - 4*d1*d2 + 2*d2^2``."""
@@ -222,14 +260,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()})"
-
-
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps: dict[int, int] = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))

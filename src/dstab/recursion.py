@@ -10,8 +10,8 @@ variable set to zero.  Each node carries the polynomials
 
 in the surviving variables d_1..d_{n-k}.
 
-The production path computes the depth n-1 leaves from the principal-minor
-table and fills ancestors upward through the recurrence
+``build_tree`` reads the nodes of its deepest requested level off the
+principal-minor table and fills ancestors upward through the recurrence
 
     P_s = -d_{n-k} * Q_{0s} + P_{1s};   Q_s = d_{n-k} * P_{0s} + Q_{1s}.
 
@@ -90,46 +90,57 @@ def node_det_direct(a: Matrix, label: str) -> DetPair:
     return DetPair(label, Poly(p_terms), Poly(q_terms))
 
 
+def _expanded_node(n: int, label: str, minor) -> DetPair:
+    """(P_s, Q_s) by subset expansion, with minors read through ``minor``.
+
+    Each subset beta of the free indices 1..n-k contributes
+    i^{|beta|} * d^beta * A(kept minus beta).
+    """
+    kept = surviving_indices(label, n)
+    free = kept[:n - len(label)]
+    parts: tuple[dict, dict] = ({}, {})   # real, imaginary
+    for r in range(len(free) + 1):
+        sign = -1 if r % 4 >= 2 else 1   # i^r cycles 1, i, -1, -i
+        terms = parts[r % 2]
+        for beta in itertools.combinations(free, r):
+            terms[tuple((j, 1) for j in beta)] = \
+                sign * minor([i for i in kept if i not in beta])
+    return DetPair(label, Poly(parts[0]), Poly(parts[1]))
+
+
 def leaf_pair(a: Matrix, label: str, minors: MinorTable | None = None) -> DetPair:
     """Depth n-1 node read off the minor table:
 
     P_s = A(1 U alpha(s)),  Q_s = d_1 * A(alpha(s)).
     """
-    n = a.n
-    if len(label) != n - 1:
+    if len(label) != a.n - 1:
         raise ValueError("leaf labels have length n-1")
     if minors is None:
-        alpha = alpha_set(label, n)
-        p_val = principal_minor(a, [1] + alpha)
-        q_val = principal_minor(a, alpha)
-    else:
-        alpha = alpha_set(label, n)
-        p_val = minors[frozenset([1] + alpha)]
-        q_val = minors[frozenset(alpha)]
-    return DetPair(label, Poly.const(p_val), Poly.var(1).scale(q_val))
+        return _expanded_node(a.n, label, lambda idx: principal_minor(a, idx))
+    return _expanded_node(a.n, label, minors.__getitem__)
 
 
 def build_tree(a: Matrix, depth: int | None = None,
                minors: MinorTable | None = None) -> dict[str, DetPair]:
     """All delete/zero nodes with labels of length <= depth (default n-1).
 
-    The tree is always constructed bottom-up from the minor-table leaves so
-    that every returned node satisfies the recurrence relations exactly.
+    The depth-``depth`` nodes are read off the minor table by subset
+    expansion over their free indices (at depth n-1 these are the leaves of
+    ``leaf_pair``); their ancestors are filled in by the recurrence, so
+    every returned node above the bottom level satisfies it exactly.
     """
     n = a.n
     if depth is None:
         depth = n - 1
     if not 0 <= depth <= n - 1:
         raise ValueError("depth must lie in 0..n-1")
-    if n == 1:
-        return {"": DetPair("", Poly.const(a.rows[0][0]), Poly.var(1))}
     if minors is None:
         minors = all_principal_minors(a, cap=max(n, 12))
     nodes: dict[str, DetPair] = {}
-    for bits in itertools.product("01", repeat=n - 1):
+    for bits in itertools.product("01", repeat=depth):
         label = "".join(bits)
-        nodes[label] = leaf_pair(a, label, minors)
-    for k in range(n - 2, -1, -1):
+        nodes[label] = _expanded_node(n, label, minors.__getitem__)
+    for k in range(depth - 1, -1, -1):
         d = Poly.var(n - k)
         for bits in itertools.product("01", repeat=k):
             label = "".join(bits)
@@ -138,8 +149,6 @@ def build_tree(a: Matrix, depth: int | None = None,
             p = one_child.P - d * zero_child.Q
             q = one_child.Q + d * zero_child.P
             nodes[label] = DetPair(label, p, q)
-    if depth < n - 1:
-        nodes = {lbl: node for lbl, node in nodes.items() if len(lbl) <= depth}
     return nodes
 
 

@@ -148,3 +148,18 @@ def test_experiment_text_output(capsys):
                     "--seed", "0")
     assert code == 0
     assert "hit rate" in out
+
+
+def test_experiment_negative_trials_is_a_usage_error(capsys):
+    code = main(["experiment", "--n", "3", "--trials", "-3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "dstab: error: trials must be nonnegative" in captured.err
+
+
+def test_experiment_one_by_one_certifies(capsys):
+    code, out = run(capsys, "experiment", "--n", "1", "--trials", "4",
+                    "--json")
+    assert code == 0
+    assert json.loads(out)["stats"]["counts"]["Certified"] == 4

@@ -79,6 +79,25 @@ def test_check_makes_one_minor_table_and_one_seed_per_permutation(
                      "all_principal_minors": 1}
 
 
+def test_hot_path_builds_only_depth_one_trees(monkeypatch):
+    depths = []
+
+    def recording(a, depth=None, minors=None):
+        depths.append(depth)
+        return recursion.build_tree(a, depth=depth, minors=minors)
+    for owner in (harness, certifier):
+        monkeypatch.setattr(owner, "build_tree", recording)
+    run_experiment(4, 20, seed=3)
+    n_experiment = len(depths)
+    cfg = RunConfig(test="both", depth="auto", refine=True, permutations=2)
+    assert check_matrix(random_stable_matrix(6, 0), cfg).permutation
+    assert n_experiment > 0 and len(depths) == n_experiment + 3
+    certifier.test_hierarchy(OLP)
+    certifier.seed_polys(OLP)
+    assert len(depths) == n_experiment + 5
+    assert set(depths) == {1}
+
+
 def test_generator_style_parse():
     s = GeneratorStyle.parse("noise=10,diag_hi=80")
     assert s.noise == 10 and s.diag_hi == 80 and s.diag_lo == 20

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dstab.poly import IDENTICALLY_ZERO, MIXED, NONNEG_STRICT, Poly
+from dstab.poly import IDENTICALLY_ZERO, MAX_EXP, MIXED, NONNEG_STRICT, Poly
 
 
 def random_poly(rng, nvars=3, nterms=5, maxexp=2):
@@ -67,7 +70,7 @@ def test_evaluate_matches_term_sum():
         point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                  for v in (1, 2, 3)}
         expected = sum((coeff * _mono_value(mono, point)
-                        for mono, coeff in p.terms.items()), Fraction(0))
+                        for mono, coeff in p.sorted_terms()), Fraction(0))
         assert p.evaluate(point) == expected
 
 
@@ -118,3 +121,82 @@ def test_render_and_sorted_terms():
     assert Poly.var(3).render() == "d3"
     degs = [sum(e for _, e in m) for m, _ in p.sorted_terms()]
     assert degs == sorted(degs)
+
+
+def test_monomials_are_canonical_whatever_order_they_come_in():
+    """One monomial is one key: pair order and zero exponents do not split it."""
+    p = Poly({((2, 1), (1, 1)): 1}) - Poly({((1, 1), (2, 1)): 1})
+    assert p == Poly.zero() and p.render() == "0"
+    q = Poly({((1, 1), (2, 0)): 1, ((1, 1),): 2})
+    assert q.coefficient(((1, 1),)) == 3
+    assert q.collect(2) == (Poly.var(1).scale(3), Poly.zero(), Poly.zero())
+    # a repeated variable multiplies
+    assert Poly({((1, 1), (1, 1)): 1}) == Poly.var(1) * Poly.var(1)
+
+
+D = sympy.symbols("d1:7")
+
+# up to 6 variables, exponents up to 4 (discriminants in quadratic_refine
+# reach degree 4); pairs come unsorted and may repeat a variable
+_monomials = st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4)),
+                      max_size=4).filter(
+    lambda pairs: all(sum(e for w, e in pairs if w == v) <= 4
+                      for v, _ in pairs)).map(tuple)
+_coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+raw_polys = st.dictionaries(_monomials, _coeffs, max_size=8)
+
+
+def _sym(terms):
+    """sympy expression of (var, exp)-pair monomials -> coefficient."""
+    return sympy.expand(sum(
+        (sympy.Rational(c.numerator, c.denominator)
+         * sympy.Mul(*[D[v - 1] ** e for v, e in mono])
+         for mono, c in terms), sympy.Integer(0)))
+
+
+def _sym_poly(p: Poly):
+    return _sym(p.sorted_terms())
+
+
+@settings(max_examples=150, deadline=None)
+@given(rp=raw_polys, rq=raw_polys, var=st.integers(1, 6),
+       point=st.lists(st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=5),
+                      min_size=6, max_size=6))
+def test_arithmetic_matches_sympy(rp, rq, var, point):
+    p, q = Poly(rp), Poly(rq)
+    sp, sq = _sym(rp.items()), _sym(rq.items())
+    assert _sym_poly(p) == sp
+    assert _sym_poly(p + q) == sympy.expand(sp + sq)
+    assert _sym_poly(p - q) == sympy.expand(sp - sq)
+    assert _sym_poly(p * q) == sympy.expand(sp * sq)
+    subs = {D[i]: sympy.Rational(x.numerator, x.denominator)
+            for i, x in enumerate(point)}
+    assert p.evaluate(dict(enumerate(point, start=1))) == sp.subs(subs)
+    d = D[var - 1]
+    if sympy.degree(sp, d) <= 2:
+        assert [_sym_poly(c) for c in p.collect(var)] == \
+            [sympy.expand(sp.coeff(d, k)) for k in (0, 1, 2)]
+    else:
+        with pytest.raises(ValueError):
+            p.collect(var)
+
+
+@settings(max_examples=100, deadline=None)
+@given(var=st.integers(1, 64), e1=st.integers(0, MAX_EXP),
+       e2=st.integers(1, MAX_EXP))
+def test_exponent_overflow_is_refused(var, e1, e2):
+    """A product past the exponent limit raises instead of wrapping; one
+    within it is exact."""
+    left = Poly({((var, e1),): 2})
+    right = Poly({((var, e2),): 3, (): 1})
+    if e1 + e2 > MAX_EXP:
+        with pytest.raises(OverflowError):
+            left * right
+    else:
+        want = Poly({((var, e1 + e2),): 6, ((var, e1),): 2})
+        assert left * right == want
+    with pytest.raises(OverflowError):
+        Poly({((var, e1), (var, MAX_EXP + 1 - e1)): 1})
+    with pytest.raises(ValueError):
+        Poly.var(65)

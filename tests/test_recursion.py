@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstab.matrix import Matrix, all_principal_minors, det_complex, principal_minor
 from dstab.poly import Poly
@@ -109,6 +111,24 @@ def test_four_by_four_depth_one_formulas():
     q1 = d1 * Poly.const(minors[[2, 3, 4]]) + d2 * Poly.const(minors[[1, 3, 4]]) \
         + d3 * Poly.const(minors[[1, 2, 4]]) - d1 * d2 * d3 * Poly.const(minors[[4]])
     assert tree["1"].P == p1 and tree["1"].Q == q1
+
+
+@st.composite
+def matrices_and_depths(draw):
+    n = draw(st.integers(1, 6))
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+    a = Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+    return a, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=matrices_and_depths())
+def test_depth_k_nodes_read_off_the_minor_table(case):
+    """build_tree(depth=k) is the full tree cut to labels of length <= k."""
+    a, k = case
+    full = build_tree(a)
+    cut = build_tree(a, depth=k, minors=all_principal_minors(a))
+    assert cut == {lbl: node for lbl, node in full.items() if len(lbl) <= k}
 
 
 def test_depth_truncation_and_n1():
