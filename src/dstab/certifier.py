@@ -237,6 +237,15 @@ def _run_single_test(root: Poly, n: int, depth: int,
     return status == _STRICT, records
 
 
+def one_by_one_report(a: Matrix, which: str) -> TestReport:
+    """The verdict on a 1x1 matrix, which has no seed polynomials: a
+    positive entry is trivially D-stable, a nonpositive one not stable."""
+    if a.rows[0][0] > 0:
+        return TestReport(CERTIFIED, test=which, depth=0,
+                          detail="positive 1x1 matrix is trivially D-stable")
+    return TestReport(NOT_STABLE, detail="nonpositive 1x1 matrix")
+
+
 def test_hierarchy(a: Matrix, which: str = "I",
                    depth: int | str | None = None, refine: bool = False,
                    tree=None, check_preconditions: bool = True) -> TestReport:
@@ -261,6 +270,10 @@ def test_hierarchy(a: Matrix, which: str = "I",
         depths = [depth]
     else:
         raise ValueError(f"depth must be 'auto' or an integer in 0..{top}")
+    if which not in ("I", "II", "both"):
+        raise ValueError("which must be 'I', 'II' or 'both'")
+    if n == 1:
+        return one_by_one_report(a, which)
     if check_preconditions:
         if not is_positive_stable(a):
             return TestReport(NOT_STABLE, detail="matrix is not positive stable")
@@ -270,8 +283,6 @@ def test_hierarchy(a: Matrix, which: str = "I",
                               detail="matrix is not a P0+-matrix")
         if tree is None:
             tree = build_tree(a, depth=1, minors=minors)
-    if which not in ("I", "II", "both"):
-        raise ValueError("which must be 'I', 'II' or 'both'")
     f01, g01 = seed_polys(a, tree)
     roots = {"I": [f01], "II": [g01], "both": [f01, g01]}[which]
     for k in depths:

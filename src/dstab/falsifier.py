@@ -14,7 +14,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, log
+from math import exp, isfinite, log
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,8 @@ import numpy as np
 from .matrix import Matrix, is_positive_stable, det_complex
 
 GUARD_TOLERANCE = 1e-9
+# samples per stacked eigensolve in falsify
+CHUNK = 256
 
 
 def stable_seed(*parts) -> int:
@@ -119,45 +121,62 @@ def deterministic_probes(n: int) -> list[tuple[float, ...]]:
     return probes
 
 
+def _sample_chunks(n: int, trials: int, seed: int, lo: float, hi: float):
+    """Yield (first index, diagonals) runs covering indices 0..trials-1.
+
+    The deterministic probes come first, as one run; then per-coordinate
+    log-uniform draws over [lo, hi] in runs of CHUNK, sample ``index``
+    drawn from its own ``random.Random(stable_seed(seed, index))``.
+    """
+    probes = deterministic_probes(n)[:trials]
+    yield 0, probes
+    log_lo, log_hi = log(lo), log(hi)
+    for start in range(len(probes), trials, CHUNK):
+        chunk = []
+        for index in range(start, min(start + CHUNK, trials)):
+            rng = random.Random(stable_seed(seed, index))
+            chunk.append(tuple(exp(log_lo + (log_hi - log_lo) * rng.random())
+                               for _ in range(n)))
+        yield start, chunk
+
+
+def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:
+    """spectral_margin of every diagonal in ``chunk``, one eigensolve.
+
+    d[:, :, None] * A has the same entries as diag(d) @ A, and eigvals runs
+    the same LAPACK routine on each matrix of the stack, so the margins
+    equal spectral_margin's bit for bit.
+    """
+    try:
+        eig = np.linalg.eigvals(np.asarray(chunk)[:, :, None] * a_float)
+    except np.linalg.LinAlgError:
+        # one sample that LAPACK rejects fails the whole stack
+        return np.array([spectral_margin(a, d) for d in chunk])
+    return eig.real.min(axis=1)
+
+
 def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
             lo: float = 1e-3, hi: float = 1e3) -> Optional[Counterexample]:
     """Search for a positive diagonal witnessing non-D-stability.
 
     Deterministic probes run first, then per-coordinate log-uniform samples
     over [lo, hi].  Deterministic given (seed, trials, lo, hi).  Returns the
-    first exactly verified counterexample, or None.
+    first exactly verified counterexample, or None.  Margins are computed a
+    chunk of samples at a time; the samples, and so the witness, are the
+    same as when each sample is checked on its own.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    n = a.n
-    log_lo, log_hi = log(lo), log(hi)
-    candidates = deterministic_probes(n)
-
-    def check(d: tuple[float, ...], index: int) -> Optional[Counterexample]:
-        margin = spectral_margin(a, d)
-        if margin > GUARD_TOLERANCE:
-            return None
-        if not _verify_exact(a, d):
-            return None
-        sample = DiagonalSample(d, seed=seed, index=index)
-        return Counterexample(sample, _offending_eigenvalue(a, d), margin)
-
-    count = 0
-    for d in candidates:
-        if count >= trials:
-            return None
-        found = check(d, count)
-        count += 1
-        if found:
-            return found
-    while count < trials:
-        rng = random.Random(stable_seed(seed, count))
-        d = tuple(exp(log_lo + (log_hi - log_lo) * rng.random())
-                  for _ in range(n))
-        found = check(d, count)
-        count += 1
-        if found:
-            return found
+    if not (0 < lo < hi and isfinite(hi)):
+        raise ValueError("need finite 0 < lo < hi")
+    a_float = _np(a)
+    for start, chunk in _sample_chunks(a.n, trials, seed, lo, hi):
+        margins = _chunk_margins(a, a_float, chunk)
+        # not (margin > tolerance), as a NaN margin is a candidate too
+        for i in np.flatnonzero(~(margins > GUARD_TOLERANCE)):
+            d = chunk[i]
+            if _verify_exact(a, d):
+                sample = DiagonalSample(d, seed=seed, index=start + int(i))
+                return Counterexample(sample, _offending_eigenvalue(a, d),
+                                      float(margins[i]))
     return None

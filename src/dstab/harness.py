@@ -10,8 +10,8 @@ from math import sqrt
 from typing import Optional
 
 from .certifier import (CERTIFIED, FAILED_NECESSARY, FALSIFIED, INCONCLUSIVE,
-                        NOT_STABLE, TestReport, step1_sufficient,
-                        test_hierarchy)
+                        NOT_STABLE, TestReport, one_by_one_report,
+                        step1_sufficient, test_hierarchy)
 from .falsifier import falsify, stable_seed
 from .matrix import (DEFAULT_MINOR_CAP, Matrix, all_principal_minors,
                      is_positive_stable, necessary_filter)
@@ -42,11 +42,12 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
     enumerated once; permuted retries relabel it.
     """
     cfg = cfg or RunConfig()
+    for name in ("permutations", "falsify_trials"):
+        if getattr(cfg, name) < 0:
+            raise ValueError(f"{name} must be nonnegative, "
+                             f"got {getattr(cfg, name)}")
     if a.n == 1:
-        if a.rows[0][0] > 0:
-            return TestReport(CERTIFIED, test=cfg.test, depth=0,
-                              detail="positive 1x1 matrix is trivially D-stable")
-        return TestReport(NOT_STABLE, detail="nonpositive 1x1 matrix")
+        return one_by_one_report(a, cfg.test)
     if not is_positive_stable(a):
         return TestReport(NOT_STABLE, detail="matrix is not positive stable")
     minors = all_principal_minors(a, cap=cfg.minor_cap)
@@ -216,8 +217,11 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if isinstance(style, str):
         style = GeneratorStyle.parse(style)
+    top = max(n - 2, 0)
     if depth is None:
-        depth = max(n - 2, 0)
+        depth = top
+    elif depth not in range(top + 1):
+        raise ValueError(f"depth must be an integer in 0..{top}, got {depth!r}")
     counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED_NECESSARY: 0, FALSIFIED: 0}
     start = time.perf_counter()
     for t in range(trials):
@@ -226,8 +230,7 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         # integer entries make the exact arithmetic much cheaper.
         a = random_stable_matrix(n, trial_seed, style).scale(100)
         if n == 1:
-            # a stable 1x1 matrix is a positive scalar, trivially D-stable
-            counts[CERTIFIED] += 1
+            counts[one_by_one_report(a, test).verdict] += 1
             continue
         minors = all_principal_minors(a)
         if not necessary_filter(a, minors=minors):

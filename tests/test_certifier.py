@@ -14,6 +14,7 @@ from dstab.certifier import (CERTIFIED, FAILED_NECESSARY, INCONCLUSIVE,
                              step1_sufficient, step2_Q0_system,
                              step2_nondegenerate)
 from dstab.certifier import test_hierarchy as hierarchy
+from dstab.harness import RunConfig, check_matrix
 from dstab.matrix import Matrix, parse_matrix
 from dstab.poly import Poly
 from dstab.recursion import fg_pair, node_det_direct
@@ -124,6 +125,20 @@ def test_identity_certifies_at_depth_zero():
     rep = hierarchy(Matrix.identity(4), which="I", depth=0)
     assert rep.verdict == CERTIFIED
     assert step1_sufficient(Matrix.identity(4)).verdict == CERTIFIED
+
+
+def test_one_by_one_gets_the_check_matrix_verdict():
+    assert hierarchy(Matrix([[2]])).verdict == CERTIFIED
+    assert hierarchy(Matrix([[2]])).depth == 0
+    assert hierarchy(Matrix([[0]])).verdict == NOT_STABLE
+    for entry in (2, Fraction(1, 3), 0, -5):
+        a = Matrix([[entry]])
+        for which in ("I", "II", "both"):
+            for depth in (None, 0, "auto"):
+                assert hierarchy(a, which=which, depth=depth).to_dict() == \
+                    check_matrix(a, RunConfig(test=which)).to_dict()
+    with pytest.raises(ValueError):
+        hierarchy(Matrix([[2]]), depth=1)
 
 
 def test_both_mode_falls_through_to_second_seed():

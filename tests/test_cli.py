@@ -163,3 +163,22 @@ def test_experiment_one_by_one_certifies(capsys):
                     "--json")
     assert code == 0
     assert json.loads(out)["stats"]["counts"]["Certified"] == 4
+
+
+def test_experiment_depth_out_of_range_is_a_usage_error(capsys):
+    code = main(["experiment", "--n", "3", "--trials", "2", "--depth", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("dstab: error: depth must be an integer in "
+                            "0..1, got 5\n")
+
+
+@pytest.mark.parametrize("flag", ["--falsify", "--permutations"])
+def test_check_negative_count_is_a_usage_error(capsys, olp_file, flag):
+    code = main(["check", olp_file, flag, "-3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("dstab: error: ")
+    assert "must be nonnegative, got -3" in captured.err

@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
+from math import exp, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dstab.falsifier import (Counterexample, deterministic_probes, falsify,
+from dstab.falsifier import (CHUNK, GUARD_TOLERANCE, Counterexample,
+                             DiagonalSample, _chunk_margins, _np,
+                             _offending_eigenvalue, _sample_chunks,
+                             _verify_exact, deterministic_probes, falsify,
                              johnson_F, spectral_margin, stable_seed)
 from dstab.matrix import Matrix, is_positive_stable, parse_matrix
 from dstab.recursion import build_tree
@@ -83,6 +89,10 @@ def test_falsify_argument_validation():
         falsify(Matrix.identity(2), trials=0)
     with pytest.raises(ValueError):
         falsify(Matrix.identity(2), lo=1.0, hi=0.5)
+    for lo, hi in ((1e-3, float("inf")), (float("nan"), 1.0),
+                   (1e-3, float("nan")), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            falsify(Matrix.identity(2), lo=lo, hi=hi)
 
 
 def test_counterexample_serialization():
@@ -104,3 +114,104 @@ def test_no_false_positives_from_eigensolver_noise():
         a = Matrix([[Fraction(x).limit_denominator(10**6) for x in row]
                     for row in sym])
         assert falsify(a, trials=200, seed=3) is None
+
+
+# ---------------------------------------------------------------------------
+# the batched falsifier against the per-sample loop it replaced
+
+
+def per_sample_diagonals(n, trials, seed, lo=1e-3, hi=1e3):
+    """Reference draws: the probes, then one seeded RNG per sample."""
+    probes = deterministic_probes(n)
+    log_lo, log_hi = log(lo), log(hi)
+    for index in range(trials):
+        if index < len(probes):
+            yield probes[index]
+        else:
+            rng = random.Random(stable_seed(seed, index))
+            yield tuple(exp(log_lo + (log_hi - log_lo) * rng.random())
+                        for _ in range(n))
+
+
+def per_sample_falsify(a, trials, seed):
+    """Reference falsifier: one eigensolve per sample."""
+    for index, d in enumerate(per_sample_diagonals(a.n, trials, seed)):
+        margin = spectral_margin(a, d)
+        if margin > GUARD_TOLERANCE or not _verify_exact(a, d):
+            continue
+        return Counterexample(DiagonalSample(d, seed=seed, index=index),
+                              _offending_eigenvalue(a, d), margin)
+    return None
+
+
+@st.composite
+def falsifier_cases(draw):
+    """A small integer or two-decimal matrix at n=2..6 and a trial count
+    below the probe count, within one chunk of draws, or across chunks."""
+    n = draw(st.integers(2, 6))
+    entry = draw(st.sampled_from([
+        st.integers(-6, 6).map(Fraction),
+        st.integers(-900, 900).map(lambda h: Fraction(h, 100))]))
+    a = Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    probes = len(deterministic_probes(n))
+    trials = draw(st.one_of(st.integers(1, probes),
+                            st.integers(probes + 1, probes + CHUNK),
+                            st.integers(probes + CHUNK + 1,
+                                        probes + 2 * CHUNK + 1)))
+    return a, trials, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=falsifier_cases())
+def test_batched_falsify_matches_per_sample_loop(case):
+    a, trials, seed = case
+    assert falsify(a, trials=trials, seed=seed) == \
+        per_sample_falsify(a, trials, seed)
+    # the chunks hold the reference draws in order, and their margins are
+    # spectral_margin's, bit for bit
+    drawn = []
+    for start, chunk in _sample_chunks(a.n, trials, seed, 1e-3, 1e3):
+        assert start == len(drawn)
+        drawn += chunk
+        assert _chunk_margins(a, _np(a), chunk).tolist() == \
+            [spectral_margin(a, d) for d in chunk]
+    assert drawn == list(per_sample_diagonals(a.n, trials, seed))
+
+
+# Every sample of this block-diagonal matrix is a float candidate, since the
+# 1e-13 block keeps the spectral margin below GUARD_TOLERANCE, and the exact
+# check rejects all of them except those with d3/d2 > 1e5, which destabilise
+# the 2x2 block.
+RARE_HIT = Matrix([[Fraction(1, 10 ** 13), 0, 0],
+                   [0, 1, 1],
+                   [0, -1, Fraction(-1, 10 ** 5)]])
+
+
+# with this seed the first verified hit comes after the first chunk of draws
+LATE_SEED = 34
+
+
+def test_first_verified_hit_in_a_later_chunk():
+    expected = per_sample_falsify(RARE_HIT, 4 * CHUNK, LATE_SEED)
+    assert expected.sample.index >= len(deterministic_probes(3)) + CHUNK
+    assert spectral_margin(RARE_HIT, (1.0, 1.0, 1.0)) <= GUARD_TOLERANCE
+    assert not _verify_exact(RARE_HIT, (1.0, 1.0, 1.0))
+    assert falsify(RARE_HIT, trials=4 * CHUNK, seed=LATE_SEED) == expected
+
+
+def test_stacked_eigensolve_failure_falls_back_per_sample(monkeypatch):
+    expected = per_sample_falsify(RARE_HIT, 4 * CHUNK, LATE_SEED)
+    eigvals = np.linalg.eigvals
+    calls = {"stacked": 0}
+
+    def no_stacks(m):
+        if np.ndim(m) == 3:
+            calls["stacked"] += 1
+            raise np.linalg.LinAlgError("stacked input refused")
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_stacks)
+    assert falsify(RARE_HIT, trials=4 * CHUNK, seed=LATE_SEED) == expected
+    assert falsify(NOT_D_STABLE, trials=2000, seed=1) == \
+        per_sample_falsify(NOT_D_STABLE, 2000, 1)
+    assert calls["stacked"] >= 3

@@ -136,6 +136,23 @@ def test_experiment_empty():
     assert st.wilson_interval() == (0.0, 0.0)
 
 
+def test_experiment_checks_depth_before_any_trial():
+    for n, trials in ((3, 0), (1, 3)):
+        with pytest.raises(ValueError, match=r"integer in 0\.\.%d" % max(n - 2, 0)):
+            run_experiment(n, trials, depth=9)
+    with pytest.raises(ValueError):
+        run_experiment(4, 0, depth=-1)
+    assert run_experiment(4, 0, depth=2).depth == 2
+
+
+def test_check_refuses_negative_counts():
+    for field_name in ("permutations", "falsify_trials"):
+        with pytest.raises(ValueError, match=field_name):
+            check_matrix(OLP, RunConfig(**{field_name: -1}))
+        with pytest.raises(ValueError, match=field_name):
+            check_matrix(Matrix([[1]]), RunConfig(**{field_name: -1}))
+
+
 def test_experiment_2x2_dominant_is_mostly_certified():
     st = run_experiment(2, 50, seed=0, style="noise=5")
     assert st.counts[CERTIFIED] >= 45
