@@ -128,9 +128,6 @@ class CoeffTree:
     depth: int
     nodes: dict[str, Poly]
 
-    def level(self, j: int) -> dict[str, Poly]:
-        return {p: q for p, q in self.nodes.items() if len(p) == j}
-
 
 def collect_variable(n: int, level: int) -> int:
     """Variable processed when expanding a node at the given level.
@@ -246,6 +243,19 @@ def one_by_one_report(a: Matrix, which: str) -> TestReport:
     return TestReport(NOT_STABLE, detail="nonpositive 1x1 matrix")
 
 
+def hierarchy_depths(n: int, which: str,
+                     depth: int | str | None) -> range | list[int]:
+    """The depths ``test_hierarchy`` walks; refuses a bad depth or seed."""
+    top = max(n - 2, 0)
+    if depth is None:
+        depth = top
+    if depth != "auto" and depth not in range(top + 1):
+        raise ValueError(f"depth must be 'auto' or an integer in 0..{top}")
+    if which not in ("I", "II", "both"):
+        raise ValueError("which must be 'I', 'II' or 'both'")
+    return range(top + 1) if depth == "auto" else [depth]
+
+
 def test_hierarchy(a: Matrix, which: str = "I",
                    depth: int | str | None = None, refine: bool = False,
                    tree=None, check_preconditions: bool = True) -> TestReport:
@@ -261,23 +271,13 @@ def test_hierarchy(a: Matrix, which: str = "I",
     is not expanded further.  Never returns a false Certified.
     """
     n = a.n
-    top = max(n - 2, 0)
-    if depth is None:
-        depth = top
-    if depth == "auto":
-        depths = range(top + 1)
-    elif depth in range(top + 1):
-        depths = [depth]
-    else:
-        raise ValueError(f"depth must be 'auto' or an integer in 0..{top}")
-    if which not in ("I", "II", "both"):
-        raise ValueError("which must be 'I', 'II' or 'both'")
+    depths = hierarchy_depths(n, which, depth)
     if n == 1:
         return one_by_one_report(a, which)
     if check_preconditions:
-        if not is_positive_stable(a):
-            return TestReport(NOT_STABLE, detail="matrix is not positive stable")
         minors = all_principal_minors(a)
+        if not is_positive_stable(a, minors):
+            return TestReport(NOT_STABLE, detail="matrix is not positive stable")
         if not necessary_filter(a, minors=minors):
             return TestReport(FAILED_NECESSARY,
                               detail="matrix is not a P0+-matrix")

@@ -180,7 +180,7 @@ def cmd_expand(args) -> int:
     payload = {"schema": REPORT_SCHEMA, "command": "expand",
                "n": a.n, "F01": f.render(), "G01": g.render()}
     lines = [f"F(0,1) = {f.render()}", f"G(0,1) = {g.render()}"]
-    if args.depth > 0:
+    if args.depth != 0:   # coeff_tree refuses a negative depth
         ct = coeff_tree(a, seed=args.seed_name, depth=args.depth, tree=tree)
         payload["tree"] = {path: p.render() for path, p in
                            sorted(ct.nodes.items())}

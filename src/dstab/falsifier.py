@@ -106,8 +106,8 @@ def _offending_eigenvalue(a: Matrix, d: Sequence) -> complex:
 
 def _verify_exact(a: Matrix, d: Sequence) -> bool:
     """Exact confirmation that D*A is not positive stable."""
-    diag = [Fraction(float(x)) for x in d]
-    da = Matrix.diagonal(diag) @ a
+    da = Matrix([[Fraction(float(di)) * x for x in row]
+                 for di, row in zip(d, a.rows)])
     return not is_positive_stable(da)
 
 

@@ -10,14 +10,17 @@ from math import sqrt
 from typing import Optional
 
 from .certifier import (CERTIFIED, FAILED_NECESSARY, FALSIFIED, INCONCLUSIVE,
-                        NOT_STABLE, TestReport, one_by_one_report,
-                        step1_sufficient, test_hierarchy)
+                        NOT_STABLE, TestReport, hierarchy_depths,
+                        one_by_one_report, step1_sufficient, test_hierarchy)
 from .falsifier import falsify, stable_seed
-from .matrix import (DEFAULT_MINOR_CAP, Matrix, all_principal_minors,
+from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable,
+                     all_principal_minors, check_minor_cap,
                      is_positive_stable, necessary_filter)
 from .recursion import build_tree
 
 REPORT_SCHEMA = "dstab-report/1"
+# draws random_stable_matrix makes before it gives up
+MAX_ATTEMPTS = 10_000
 
 
 @dataclass
@@ -39,18 +42,24 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
     Cheap filters first: exact stability, then the P0+ necessary condition,
     then (optionally) the randomized falsifier, then the step-1 sufficient
     test and finally one hierarchy run per permutation.  The minor table is
-    enumerated once; permuted retries relabel it.
+    enumerated once and decides stability; permuted retries relabel it.
+    Above the cap, stability is decided from ``char_poly`` and a stable
+    matrix raises ``MinorCapExceeded``.
     """
     cfg = cfg or RunConfig()
     for name in ("permutations", "falsify_trials"):
         if getattr(cfg, name) < 0:
             raise ValueError(f"{name} must be nonnegative, "
                              f"got {getattr(cfg, name)}")
+    hierarchy_depths(a.n, cfg.test, cfg.depth)   # refuses a bad depth or test
     if a.n == 1:
         return one_by_one_report(a, cfg.test)
-    if not is_positive_stable(a):
+    minors = (all_principal_minors(a, cap=cfg.minor_cap)
+              if a.n <= cfg.minor_cap else None)
+    if not is_positive_stable(a, minors):
         return TestReport(NOT_STABLE, detail="matrix is not positive stable")
-    minors = all_principal_minors(a, cap=cfg.minor_cap)
+    if minors is None:
+        minors = all_principal_minors(a, cap=cfg.minor_cap)
     if not necessary_filter(a, minors=minors):
         return TestReport(FAILED_NECESSARY,
                           detail="matrix is not a P0+-matrix")
@@ -124,38 +133,39 @@ class GeneratorStyle:
                 f"noise={self.noise}")
 
 
-def _two_decimals(x: float) -> Fraction:
-    return Fraction(f"{x:.2f}")
-
-
-def random_stable_matrix(n: int, seed: int, style: GeneratorStyle | str = "default",
-                         max_attempts: int = 10_000) -> Matrix:
+def random_stable_matrix(n: int, seed: int,
+                         style: GeneratorStyle | str = "default") -> Matrix:
     """Positive-stable matrix by rejection sampling.
 
     Deterministic in (n, seed, style); entries are exact rationals with at
     most two decimal places.
     """
+    return _stable_draw(n, seed, style)[0].scale(Fraction(1, 100))
+
+
+def _stable_draw(n: int, seed: int,
+                 style: GeneratorStyle | str) -> tuple[Matrix, MinorTable]:
+    """100 times the matrix of ``random_stable_matrix``, and its minor table.
+
+    Each entry is drawn as a float, rounded to a two-decimal string, and
+    read as an int of hundredths.  Stability is scale-invariant, so each
+    draw is decided from its integer matrix's table.
+    """
+    check_minor_cap(n)
     if isinstance(style, str):
         style = GeneratorStyle.parse(style)
     rng = random.Random(stable_seed("dstab-gen", n, seed))
-    for _ in range(max_attempts):
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i == j:
-                    row.append(_two_decimals(
-                        rng.uniform(style.diag_lo, style.diag_hi)))
-                else:
-                    row.append(_two_decimals(
-                        rng.uniform(-style.noise, style.noise)))
-            rows.append(row)
-        a = Matrix(rows)
-        # stability is scale-invariant; test the integer multiple
-        if is_positive_stable(a.scale(100)):
-            return a
-    raise RuntimeError("rejection budget exhausted while generating a "
-                       "stable matrix")
+    # entry (i, j) is uniform over bounds[i == j]
+    bounds = ((-style.noise, style.noise), (style.diag_lo, style.diag_hi))
+    for _ in range(MAX_ATTEMPTS):
+        a = Matrix([[int(f"{rng.uniform(*bounds[i == j]):.2f}"
+                         .replace(".", "")) for j in range(n)]
+                    for i in range(n)])
+        minors = all_principal_minors(a)
+        if is_positive_stable(a, minors):
+            return a, minors
+    raise ValueError(f"no positive-stable {n}x{n} matrix in {MAX_ATTEMPTS} "
+                     f"draws of generator style {style.describe()}")
 
 
 @dataclass
@@ -222,17 +232,17 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         depth = top
     elif depth not in range(top + 1):
         raise ValueError(f"depth must be an integer in 0..{top}, got {depth!r}")
+    check_minor_cap(n)
     counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED_NECESSARY: 0, FALSIFIED: 0}
     start = time.perf_counter()
     for t in range(trials):
         trial_seed = stable_seed(seed, t)
         # Every verdict below is invariant under positive scaling, and
         # integer entries make the exact arithmetic much cheaper.
-        a = random_stable_matrix(n, trial_seed, style).scale(100)
+        a, minors = _stable_draw(n, trial_seed, style)
         if n == 1:
             counts[one_by_one_report(a, test).verdict] += 1
             continue
-        minors = all_principal_minors(a)
         if not necessary_filter(a, minors=minors):
             counts[FAILED_NECESSARY] += 1
             continue

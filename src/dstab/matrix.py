@@ -2,9 +2,10 @@
 
 Everything here works over arbitrary-precision rationals: determinants and
 principal minors (fraction-free Bareiss elimination), characteristic
-polynomials (Faddeev-LeVerrier) and a strict Routh-Hurwitz
-stability decision.  Indices in the public API are 1-based, matching the
-usual linear-algebra convention.
+polynomials (Faddeev-LeVerrier) and a strict Routh-Hurwitz stability
+decision, on the order sums of the minor table or on the characteristic
+polynomial.  Indices in the public API are 1-based, matching the usual
+linear-algebra convention.
 """
 
 from __future__ import annotations
@@ -225,14 +226,20 @@ class MinorTable:
         return sums
 
 
-def all_principal_minors(a: Matrix, cap: int = DEFAULT_MINOR_CAP) -> MinorTable:
-    if a.n > cap:
+def check_minor_cap(n: int, cap: int = DEFAULT_MINOR_CAP) -> None:
+    if n > cap:
         raise MinorCapExceeded(
-            f"minor enumeration needs 2^{a.n} determinants; cap is n <= {cap}")
+            f"minor enumeration needs 2^{n} determinants; cap is n <= {cap}")
+
+
+def all_principal_minors(a: Matrix, cap: int = DEFAULT_MINOR_CAP) -> MinorTable:
+    check_minor_cap(a.n, cap)
+    rows = a.rows
     values = {frozenset(): 1}
     for k in range(1, a.n + 1):
-        for combo in itertools.combinations(range(1, a.n + 1), k):
-            values[frozenset(combo)] = principal_minor(a, combo)
+        for combo in itertools.combinations(range(a.n), k):
+            values[frozenset(i + 1 for i in combo)] = _det_bareiss(
+                [[rows[i][j] for j in combo] for i in combo])
     return MinorTable(a.n, values)
 
 
@@ -290,21 +297,19 @@ def hurwitz_determinants(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return dets
 
 
-def is_positive_stable(a: Matrix) -> bool:
+def is_positive_stable(a: Matrix, minors: MinorTable | None = None) -> bool:
     """True iff every eigenvalue of A has strictly positive real part.
 
-    Decided exactly: A is positive stable iff -A is Hurwitz stable, which is
-    checked with strict Routh-Hurwitz inequalities on the characteristic
-    polynomial.  Boundary cases (a vanishing Hurwitz determinant) count as
-    not stable.
+    Decided exactly: A is positive stable iff det(lambda*I + A) is Hurwitz
+    stable, which is checked with strict Routh-Hurwitz inequalities.  Its
+    coefficients are the order sums E_n, ..., E_1, 1 of the minor table
+    when one is given, else (-1)^k times those of ``char_poly``.  Boundary
+    cases (a vanishing Hurwitz determinant) count as not stable.
     """
-    n = a.n
-    cp = char_poly(a)
-    # det(-A - lambda I) = (-1)^n * det(A + lambda I); det(A + lambda I) has
-    # coefficients c_k * (-1)^k from det(A - lambda I).
-    coeffs = [cp.coeffs[k] * (-1) ** (n + k) for k in range(n + 1)]
-    if coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
+    if minors is None:
+        coeffs = [(-1) ** k * c for k, c in enumerate(char_poly(a).coeffs)]
+    else:
+        coeffs = [*reversed(minors.order_sums()), 1]
     # A Hurwitz-stable polynomial has all coefficients positive; cheap filter.
     if any(c <= 0 for c in coeffs):
         return False

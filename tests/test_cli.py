@@ -182,3 +182,47 @@ def test_check_negative_count_is_a_usage_error(capsys, olp_file, flag):
     assert captured.out == ""
     assert captured.err.startswith("dstab: error: ")
     assert "must be nonnegative, got -3" in captured.err
+
+
+@pytest.mark.parametrize("text", ["2 1\n1 2\n", "0 1\n-1 0\n"])
+def test_check_depth_out_of_range_is_a_usage_error(capsys, tmp_path, text):
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    code = main(["check", str(p), "--depth", "9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("dstab: error: depth must be 'auto' or an "
+                            "integer in 0..0\n")
+
+
+def test_expand_negative_depth_is_a_usage_error(capsys, olp_file):
+    code = main(["expand", olp_file, "--depth", "-1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "dstab: error: depth must lie in 0..n-2\n"
+
+
+def test_experiment_exhausted_rejection_budget_is_a_usage_error(capsys):
+    code = main(["experiment", "--n", "3", "--trials", "1", "--style",
+                 "diag_lo=-100,diag_hi=-50"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("dstab: error: no positive-stable 3x3 ")
+    assert "diag_lo=-100.0,diag_hi=-50.0" in captured.err
+
+
+@pytest.mark.parametrize("sign,code,message", [
+    (-1, 1, "verdict: NotStable"), (1, 3, "cap is n <= 12")])
+def test_check_above_the_minor_cap(capsys, tmp_path, sign, code, message):
+    """Above the cap stability is still decided; only a stable matrix
+    needs the table and gets the cap error."""
+    n = 13
+    p = tmp_path / "big.txt"
+    p.write_text("\n".join(" ".join(str(sign if i == j else 0)
+                                     for j in range(n)) for i in range(n)))
+    assert main(["check", str(p)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err

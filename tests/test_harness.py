@@ -1,12 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dstab import certifier, harness, recursion
-from dstab.certifier import CERTIFIED, FAILED_NECESSARY, INCONCLUSIVE, NOT_STABLE
+from dstab import certifier, harness, matrix, recursion
+from dstab.certifier import (CERTIFIED, FAILED_NECESSARY, FALSIFIED,
+                             INCONCLUSIVE, NOT_STABLE)
+from dstab.falsifier import stable_seed
 from dstab.harness import (GeneratorStyle, RunConfig, check_matrix,
                            random_stable_matrix, run_experiment)
-from dstab.matrix import Matrix, is_positive_stable, parse_matrix
+from dstab.matrix import (Matrix, MinorCapExceeded, is_positive_stable,
+                          parse_matrix)
+from test_acceptance import (PUBLISHED_5X5_TEST_I, PUBLISHED_5X5_TEST_II,
+                             PUBLISHED_6X6_TEST_I)
 
 OLP = parse_matrix("""
 2 -2 1 0 0
@@ -44,6 +52,89 @@ def test_pipeline_identity_uses_step1():
 def test_pipeline_depth_validation():
     with pytest.raises(ValueError):
         check_matrix(OLP, RunConfig(depth=9))
+    # depth and test are checked before any stage: step 1 certifies the
+    # first matrix and stability rejects the second
+    for text in ("2 1\n1 2", "0 1\n-1 0"):
+        a = parse_matrix(text)
+        with pytest.raises(ValueError, match=r"depth must be .* 0\.\.0"):
+            check_matrix(a, RunConfig(depth=9))
+        with pytest.raises(ValueError, match="which must be"):
+            check_matrix(a, RunConfig(test="III"))
+        check_matrix(a, RunConfig(depth=0, test="both"))
+
+
+def test_pipeline_never_runs_char_poly(monkeypatch):
+    """Generation, experiments and checks decide stability from the minor
+    table; Faddeev-LeVerrier is left to the oracle path."""
+    def refuse(a):
+        raise AssertionError("char_poly called")
+    monkeypatch.setattr(matrix, "char_poly", refuse)
+    assert sum(run_experiment(5, 20).counts.values()) == 20
+    assert sum(run_experiment(7, 2).counts.values()) == 2
+    for a in (PUBLISHED_5X5_TEST_I, PUBLISHED_5X5_TEST_II,
+              PUBLISHED_6X6_TEST_I, OLP):
+        assert check_matrix(a).verdict in (CERTIFIED, INCONCLUSIVE)
+    assert check_matrix(OLP.scale(-1)).verdict == NOT_STABLE
+
+
+def test_one_minor_table_per_draw_and_per_check(monkeypatch):
+    tables = []
+
+    def recording(a, cap=matrix.DEFAULT_MINOR_CAP):
+        tables.append(a.rows)
+        return matrix.all_principal_minors(a, cap=cap)
+    for owner in (harness, certifier, recursion):
+        monkeypatch.setattr(owner, "all_principal_minors", recording)
+    trials = 20
+    run_experiment(5, trials, seed=3, style="diag_lo=1,diag_hi=10,noise=10")
+    # one table per draw, rejected draws included, and none enumerated twice
+    assert len(set(tables)) == len(tables)
+    assert sum(is_positive_stable(Matrix(rows)) for rows in tables) == trials
+    draws = len(tables)
+    assert draws > trials
+    check_matrix(OLP, RunConfig(test="both", refine=True, permutations=2))
+    assert len(tables) == draws + 1
+
+
+def _old_generator(n, seed, style):
+    """The generator before it drew hundredths as ints: two-decimal
+    Fractions, stability of 100*A by Faddeev-LeVerrier."""
+    style = GeneratorStyle.parse(style)
+    rng = random.Random(stable_seed("dstab-gen", n, seed))
+    while True:
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                if i == j:
+                    x = rng.uniform(style.diag_lo, style.diag_hi)
+                else:
+                    x = rng.uniform(-style.noise, style.noise)
+                row.append(Fraction(f"{x:.2f}"))
+            rows.append(row)
+        a = Matrix(rows)
+        if is_positive_stable(a.scale(100)):
+            return a
+
+
+def test_generator_matches_the_two_decimal_reference():
+    for style in ("default", "diag_lo=1,diag_hi=10,noise=10", "noise=0.01"):
+        for n in range(1, 8):
+            for seed in range(2):
+                want = _old_generator(n, seed, style)
+                got = random_stable_matrix(n, seed, style)
+                assert got == want and repr(got) == repr(want)
+
+
+def test_generation_above_the_cap_fails_before_the_first_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew a matrix")
+    monkeypatch.setattr(harness.random, "Random", refuse)
+    n = matrix.DEFAULT_MINOR_CAP + 1
+    with pytest.raises(MinorCapExceeded):
+        random_stable_matrix(n, 0)
+    with pytest.raises(MinorCapExceeded):
+        run_experiment(n, 0)
 
 
 def test_pipeline_permutation_retries_recorded():
@@ -66,11 +157,13 @@ def test_check_makes_one_minor_table_and_one_seed_per_permutation(
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
+    # the generator enumerates its own table, outside the counted window
+    a = random_stable_matrix(6, 0)
     count(certifier, "seed_polys")
     for owner in (harness, recursion):
         count(owner, "all_principal_minors")
     cfg = RunConfig(test="both", depth="auto", refine=True, permutations=2)
-    rep = check_matrix(random_stable_matrix(6, 0), cfg)
+    rep = check_matrix(a, cfg)
     # every permutation is tried, each at every depth
     assert rep.verdict == INCONCLUSIVE and rep.permutation is not None
     assert rep.depth == 4
@@ -171,3 +264,45 @@ def test_experiment_report_dict():
     assert d["counts"] == st.counts
     assert len(d["hit_rate_wilson_95"]) == 2
     assert "generator" in d
+
+
+SOUNDNESS_CFG = RunConfig(test="both", depth="auto", refine=True,
+                          falsify_trials=300)
+
+
+@st.composite
+def soundness_cases(draw):
+    """A small-diagonal integer matrix at n=3..4 (a mix of NotStable,
+    FailedNecessary, Falsified, Inconclusive and Certified verdicts), a
+    positive multiple and a permutation."""
+    n = draw(st.integers(3, 4))
+    a = Matrix([[draw(st.integers(0, 2) if i == j else st.integers(-3, 3))
+                 for j in range(n)] for i in range(n)])
+    c = Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 7)))
+    return a, c, draw(st.permutations(range(1, n + 1)))
+
+
+def witness_holds(a, d):
+    """D*A is not positive stable, with D read exactly and decided by
+    Faddeev-LeVerrier."""
+    diag = [Fraction(x) for x in d]
+    da = Matrix([[di * x for x in row] for di, row in zip(diag, a.rows)])
+    return min(diag) > 0 and not is_positive_stable(da)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=soundness_cases())
+def test_verdicts_agree_on_d_stability_preserving_transforms(case):
+    """D-stability is invariant under transposition, positive scaling and
+    permutation similarity, so no transform of a Certified matrix is
+    Falsified; stability and P0+ are invariant too."""
+    a, c, perm = case
+    verdicts = set()
+    for m in (a, a.transpose(), a.scale(c), a.permuted(perm)):
+        rep = check_matrix(m, SOUNDNESS_CFG)
+        if rep.verdict == FALSIFIED:
+            assert witness_holds(m, rep.counterexample.sample.d)
+        verdicts.add(rep.verdict)
+    assert not {CERTIFIED, FALSIFIED} <= verdicts
+    for verdict in (NOT_STABLE, FAILED_NECESSARY):
+        assert verdict not in verdicts or verdicts == {verdict}

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstab.matrix import (DEFAULT_MINOR_CAP, Matrix, MinorCapExceeded,
                           all_principal_minors, char_poly, classify_P,
@@ -185,11 +187,36 @@ def test_stability_against_numpy_eigenvalues():
     assert checked > 400
 
 
+@st.composite
+def stability_cases(draw):
+    """An integer or rational matrix at n=1..6, its diagonal shifted by a
+    random amount so that stable and unstable draws both occur."""
+    n = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.fractions(-9, 9, max_denominator=12)]))
+    shift = draw(st.integers(0, 25))
+    return Matrix([[draw(entry) + (shift if i == j else 0) for j in range(n)]
+                   for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=stability_cases())
+def test_stability_from_order_sums_matches_char_poly(a):
+    minors = all_principal_minors(a)
+    assert is_positive_stable(a, minors) == is_positive_stable(a)
+    # det(lambda*I + A) = sum_k (-1)^k c_k lambda^k, c_k of det(A - lambda*I)
+    coeffs = [(-1) ** k * c for k, c in enumerate(char_poly(a).coeffs)]
+    assert coeffs == [*reversed(minors.order_sums()), 1]
+
+
 def test_stability_boundary_is_rejected():
     # purely imaginary spectrum
     assert not is_positive_stable(Matrix([[0, 1], [-1, 0]]))
     assert is_positive_stable(Matrix.identity(3))
     assert not is_positive_stable(Matrix([[-1]]))
+    for a in (Matrix([[0, 1], [-1, 0]]), Matrix([[-1]]), Matrix([[0]])):
+        assert not is_positive_stable(a, all_principal_minors(a))
 
 
 # ---------------------------------------------------------------------------
