@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .matrix import (Matrix, all_principal_minors, is_positive_stable,
+from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable,
+                     all_principal_minors, is_positive_stable,
                      necessary_filter)
 from .poly import IDENTICALLY_ZERO, NONNEG_STRICT, Poly
-from .recursion import build_tree, fg_pair
+from .recursion import fg_pair, seed_fg
 
 CERTIFIED = "Certified"
 INCONCLUSIVE = "Inconclusive"
@@ -103,14 +104,21 @@ class TestReport:
 # seeds and coefficient trees
 
 
-def seed_polys(a: Matrix, tree=None) -> tuple[Poly, Poly]:
-    """(F(0,1), G(0,1)) from the depth-1 nodes of the delete/zero tree."""
+def seed_polys(a: Matrix, tree=None, *,
+               minors: MinorTable | None = None) -> tuple[Poly, Poly]:
+    """(F(0,1), G(0,1)), read off the minor table by ``seed_fg``.
+
+    Given a delete/zero tree instead, they are the product of its two
+    depth-1 nodes.  Without either, the table is enumerated here.
+    """
     if a.n < 2:
         raise ValueError("seed polynomials need n >= 2")
-    if tree is None:
-        tree = build_tree(a, depth=1)
-    pair = fg_pair(tree["0"], tree["1"])
-    return pair.F, pair.G
+    if tree is not None:
+        pair = fg_pair(tree["0"], tree["1"])
+        return pair.F, pair.G
+    if minors is None:
+        minors = all_principal_minors(a, cap=max(a.n, DEFAULT_MINOR_CAP))
+    return seed_fg(a, minors)
 
 
 @dataclass
@@ -137,12 +145,12 @@ def collect_variable(n: int, level: int) -> int:
     return n - 1 - level
 
 
-def coeff_tree(a: Matrix, seed: str = "F01", depth: int = 0,
-               tree=None) -> CoeffTree:
+def coeff_tree(a: Matrix, seed: str = "F01", depth: int = 0, *,
+               minors: MinorTable | None = None) -> CoeffTree:
     n = a.n
     if not 0 <= depth <= n - 2:
         raise ValueError("depth must lie in 0..n-2")
-    f01, g01 = seed_polys(a, tree=tree)
+    f01, g01 = seed_polys(a, minors=minors)
     root = {"F01": f01, "G01": g01}.get(seed)
     if root is None:
         raise ValueError("seed must be 'F01' or 'G01'")
@@ -258,13 +266,16 @@ def hierarchy_depths(n: int, which: str,
 
 def test_hierarchy(a: Matrix, which: str = "I",
                    depth: int | str | None = None, refine: bool = False,
-                   tree=None, check_preconditions: bool = True) -> TestReport:
+                   tree=None, check_preconditions: bool = True, *,
+                   minors: MinorTable | None = None) -> TestReport:
     """Depth-limited sufficient test on the branched coefficient trees.
 
     ``which`` selects the seed: "I" (F(0,1)), "II" (G(0,1)) or "both".
     ``depth`` is an integer in 0..n-2 (default n-2) or "auto", which walks
     the depths upward over the same seeds and returns the first that
     certifies (else the depth n-2 report).
+    The seeds come from ``tree`` when one is given, else from ``minors``
+    (enumerated here when absent).
     Certification is hierarchical with early stopping: a branch whose node
     polynomial certifies positive (by coefficient signs or, with ``refine``,
     by quadratic-discriminant analysis on nodes of at most two variables)
@@ -275,15 +286,14 @@ def test_hierarchy(a: Matrix, which: str = "I",
     if n == 1:
         return one_by_one_report(a, which)
     if check_preconditions:
-        minors = all_principal_minors(a)
+        if minors is None:
+            minors = all_principal_minors(a)
         if not is_positive_stable(a, minors):
             return TestReport(NOT_STABLE, detail="matrix is not positive stable")
         if not necessary_filter(a, minors=minors):
             return TestReport(FAILED_NECESSARY,
                               detail="matrix is not a P0+-matrix")
-        if tree is None:
-            tree = build_tree(a, depth=1, minors=minors)
-    f01, g01 = seed_polys(a, tree)
+    f01, g01 = seed_polys(a, tree, minors=minors)
     roots = {"I": [f01], "II": [g01], "both": [f01, g01]}[which]
     for k in depths:
         # "both" reports Test I's nodes followed by Test II's
@@ -296,9 +306,10 @@ def test_hierarchy(a: Matrix, which: str = "I",
     return TestReport(INCONCLUSIVE, test=which, depth=k, nodes=nodes)
 
 
-def step1_sufficient(a: Matrix, tree=None) -> TestReport:
+def step1_sufficient(a: Matrix, *,
+                     minors: MinorTable | None = None) -> TestReport:
     """Certify via coefficientwise positivity of F(0,1) or G(0,1)."""
-    f01, g01 = seed_polys(a, tree=tree)
+    f01, g01 = seed_polys(a, minors=minors)
     for name, poly in (("I", f01), ("II", g01)):
         sign = poly.coeffwise_sign()
         if sign == NONNEG_STRICT:

@@ -24,7 +24,6 @@ from .harness import (REPORT_SCHEMA, GeneratorStyle, RunConfig, check_matrix,
                       run_experiment)
 from .matrix import (DEFAULT_MINOR_CAP, MinorCapExceeded, all_principal_minors,
                      load_matrix)
-from .recursion import build_tree
 
 USAGE_ERROR = 3
 
@@ -142,7 +141,8 @@ def cmd_experiment(args) -> int:
     style = GeneratorStyle.parse(args.style)
     stats = run_experiment(args.n, args.trials, seed=args.seed,
                            test=args.test, depth=args.depth,
-                           refine=args.refine, style=style)
+                           refine=args.refine, style=style,
+                           minor_cap=_minor_cap())
     payload = {"schema": REPORT_SCHEMA, "command": "experiment",
                "stats": stats.to_dict()}
     lo, hi = stats.wilson_interval()
@@ -174,14 +174,14 @@ def cmd_minors(args) -> int:
 
 def cmd_expand(args) -> int:
     a = load_matrix(args.file)
-    tree = build_tree(a, depth=1,
-                      minors=all_principal_minors(a, cap=_minor_cap()))
-    f, g = seed_polys(a, tree)
+    minors = all_principal_minors(a, cap=_minor_cap())
+    f, g = seed_polys(a, minors=minors)
     payload = {"schema": REPORT_SCHEMA, "command": "expand",
                "n": a.n, "F01": f.render(), "G01": g.render()}
     lines = [f"F(0,1) = {f.render()}", f"G(0,1) = {g.render()}"]
     if args.depth != 0:   # coeff_tree refuses a negative depth
-        ct = coeff_tree(a, seed=args.seed_name, depth=args.depth, tree=tree)
+        ct = coeff_tree(a, seed=args.seed_name, depth=args.depth,
+                        minors=minors)
         payload["tree"] = {path: p.render() for path, p in
                            sorted(ct.nodes.items())}
         payload["tree_seed"] = args.seed_name

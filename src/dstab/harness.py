@@ -16,7 +16,8 @@ from .falsifier import falsify, stable_seed
 from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable,
                      all_principal_minors, check_minor_cap,
                      is_positive_stable, necessary_filter)
-from .recursion import build_tree
+# called by name only from the benchmark's traced replica (perfbench)
+from .recursion import build_tree  # noqa: F401
 
 REPORT_SCHEMA = "dstab-report/1"
 # draws random_stable_matrix makes before it gives up
@@ -69,8 +70,7 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
             return TestReport(FALSIFIED, counterexample=found,
                               detail="positive diagonal with nonpositive "
                                      "spectral margin")
-    tree = build_tree(a, depth=1, minors=minors)
-    report = step1_sufficient(a, tree=tree)
+    report = step1_sufficient(a, minors=minors)
     if report.verdict == CERTIFIED:
         return report
     rng = random.Random(cfg.seed)
@@ -81,14 +81,12 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
         perms.append(tuple(p))
     for perm in perms:
         if perm is None:
-            mat, mat_tree = a, tree
+            mat, mat_minors = a, minors
         else:
-            mat = a.permuted(perm)
-            mat_tree = build_tree(mat, depth=1,
-                                  minors=minors.permuted(perm))
+            mat, mat_minors = a.permuted(perm), minors.permuted(perm)
         report = test_hierarchy(mat, which=cfg.test, depth=cfg.depth,
-                                refine=cfg.refine, tree=mat_tree,
-                                check_preconditions=False)
+                                refine=cfg.refine, check_preconditions=False,
+                                minors=mat_minors)
         report.permutation = perm
         if report.verdict == CERTIFIED:
             break
@@ -143,15 +141,16 @@ def random_stable_matrix(n: int, seed: int,
     return _stable_draw(n, seed, style)[0].scale(Fraction(1, 100))
 
 
-def _stable_draw(n: int, seed: int,
-                 style: GeneratorStyle | str) -> tuple[Matrix, MinorTable]:
+def _stable_draw(n: int, seed: int, style: GeneratorStyle | str,
+                 minor_cap: int = DEFAULT_MINOR_CAP
+                 ) -> tuple[Matrix, MinorTable]:
     """100 times the matrix of ``random_stable_matrix``, and its minor table.
 
     Each entry is drawn as a float, rounded to a two-decimal string, and
     read as an int of hundredths.  Stability is scale-invariant, so each
     draw is decided from its integer matrix's table.
     """
-    check_minor_cap(n)
+    check_minor_cap(n, minor_cap)
     if isinstance(style, str):
         style = GeneratorStyle.parse(style)
     rng = random.Random(stable_seed("dstab-gen", n, seed))
@@ -161,7 +160,7 @@ def _stable_draw(n: int, seed: int,
         a = Matrix([[int(f"{rng.uniform(*bounds[i == j]):.2f}"
                          .replace(".", "")) for j in range(n)]
                     for i in range(n)])
-        minors = all_principal_minors(a)
+        minors = all_principal_minors(a, cap=minor_cap)
         if is_positive_stable(a, minors):
             return a, minors
     raise ValueError(f"no positive-stable {n}x{n} matrix in {MAX_ATTEMPTS} "
@@ -217,7 +216,8 @@ class ExperimentStats:
 def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
                    depth: int | None = None, refine: bool = False,
                    style: GeneratorStyle | str = "default",
-                   falsify_trials: int = 0) -> ExperimentStats:
+                   falsify_trials: int = 0,
+                   minor_cap: int = DEFAULT_MINOR_CAP) -> ExperimentStats:
     """Generate stable matrices and tally the certification verdicts.
 
     Each trial draws its matrix from a seed derived from (seed, trial), so
@@ -232,14 +232,14 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         depth = top
     elif depth not in range(top + 1):
         raise ValueError(f"depth must be an integer in 0..{top}, got {depth!r}")
-    check_minor_cap(n)
+    check_minor_cap(n, minor_cap)
     counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED_NECESSARY: 0, FALSIFIED: 0}
     start = time.perf_counter()
     for t in range(trials):
         trial_seed = stable_seed(seed, t)
         # Every verdict below is invariant under positive scaling, and
         # integer entries make the exact arithmetic much cheaper.
-        a, minors = _stable_draw(n, trial_seed, style)
+        a, minors = _stable_draw(n, trial_seed, style, minor_cap)
         if n == 1:
             counts[one_by_one_report(a, test).verdict] += 1
             continue
@@ -251,8 +251,7 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
                 counts[FALSIFIED] += 1
                 continue
         rep = test_hierarchy(a, which=test, depth=depth, refine=refine,
-                             tree=build_tree(a, depth=1, minors=minors),
-                             check_preconditions=False)
+                             check_preconditions=False, minors=minors)
         counts[rep.verdict] += 1
     stats = ExperimentStats(n=n, trials=trials, seed=seed,
                             generator=style.describe(), test=test,

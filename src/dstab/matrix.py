@@ -11,6 +11,7 @@ linear-algebra convention.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -189,41 +190,67 @@ def principal_minor(a: Matrix, alpha: Iterable[int]) -> Fraction:
     return a.submatrix(idx).det()
 
 
+def index_mask(alpha: Iterable[int]) -> int:
+    """Bitmask of a 1-based index set: bit i-1 stands for index i."""
+    mask = 0
+    for i in alpha:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def mask_indices(mask: int) -> list[int]:
+    """The 1-based indices of a bitmask, in increasing order."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 class MinorTable:
-    """All 2^n principal minors, keyed by frozen index sets."""
+    """All 2^n principal minors in one list indexed by bitmask.
+
+    ``values[mask]`` is the minor on the indices of ``mask`` (bit i-1 stands
+    for index i), so ``values[0]`` is the empty minor 1.  Lookups take
+    1-based index sets.
+    """
 
     __slots__ = ("n", "values")
 
-    def __init__(self, n: int, values: dict[frozenset, Fraction]):
+    def __init__(self, n: int, values: list):
         self.n = n
         self.values = values
 
     def __getitem__(self, alpha) -> Fraction:
-        return self.values[frozenset(alpha)]
+        return self.values[index_mask(alpha)]
 
     def __len__(self):
         return len(self.values)
 
     def items(self):
-        return self.values.items()
+        """(frozen index set, minor) pairs in bitmask order."""
+        return [(frozenset(mask_indices(mask)), val)
+                for mask, val in enumerate(self.values)]
 
     def permuted(self, perm: Sequence[int]) -> "MinorTable":
         """The table of ``a.permuted(perm)``, relabelled without a determinant.
 
         The minor of P^T A P on positions S is the minor of A on perm(S).
         """
-        position = {index: k for k, index in enumerate(perm, start=1)}
-        return MinorTable(self.n, {
-            frozenset(position[i] for i in alpha): val
-            for alpha, val in self.values.items()})
+        # moved[mask] is the position mask of the index mask ``mask``; it
+        # adds the lowest index's position to the mask without that index
+        bit = {1 << (index - 1): 1 << (k - 1)
+               for k, index in enumerate(perm, start=1)}
+        moved = [0] * len(self.values)
+        out = [1] * len(self.values)
+        for mask in range(1, len(self.values)):
+            low = mask & -mask
+            moved[mask] = moved[mask ^ low] | bit[low]
+            out[moved[mask]] = self.values[mask]
+        return MinorTable(self.n, out)
 
     def order_sums(self) -> list[Fraction]:
         """Sum of all principal minors of order k, for k = 1..n."""
-        sums = [0] * self.n
-        for alpha, val in self.values.items():
-            if alpha:
-                sums[len(alpha) - 1] += val
-        return sums
+        sums = [0] * (self.n + 1)
+        for mask, val in enumerate(self.values):
+            sums[mask.bit_count()] += val
+        return sums[1:]
 
 
 def check_minor_cap(n: int, cap: int = DEFAULT_MINOR_CAP) -> None:
@@ -232,15 +259,73 @@ def check_minor_cap(n: int, cap: int = DEFAULT_MINOR_CAP) -> None:
             f"minor enumeration needs 2^{n} determinants; cap is n <= {cap}")
 
 
+def denominator_lcm(a: Matrix) -> int:
+    """The lcm of the entry denominators: the least L with L*A integral."""
+    return math.lcm(*(x.denominator for row in a.rows for x in row
+                      if not isinstance(x, int)))
+
+
 def all_principal_minors(a: Matrix, cap: int = DEFAULT_MINOR_CAP) -> MinorTable:
+    """The minor table, by Bareiss elimination with shared prefixes.
+
+    A rational matrix is scaled to the integer matrix L*A first (L the lcm
+    of its denominators), whose minor on alpha is L^|alpha| * A(alpha).
+    """
     check_minor_cap(a.n, cap)
-    rows = a.rows
-    values = {frozenset(): 1}
-    for k in range(1, a.n + 1):
-        for combo in itertools.combinations(range(a.n), k):
-            values[frozenset(i + 1 for i in combo)] = _det_bareiss(
-                [[rows[i][j] for j in combo] for i in combo])
-    return MinorTable(a.n, values)
+    n = a.n
+    scale = denominator_lcm(a)
+    rows = [[int(x * scale) for x in row] for row in a.rows]
+    values = [1] * (1 << n)
+    _fill_minors(values, rows, 0, rows, list(range(n)), 1)
+    if scale != 1:
+        powers = [scale ** k for k in range(n + 1)]
+        values = [as_exact(Fraction(v, powers[mask.bit_count()]))
+                  for mask, v in enumerate(values)]
+    return MinorTable(n, values)
+
+
+def _fill_minors(values: list, rows: list[list[int]], mask: int,
+                 block: list[list[int]], idx: list[int], prev: int) -> None:
+    """Fill the minors of every mask | {j, ...} with j in ``idx``.
+
+    ``block`` is the trailing block left by Bareiss elimination of the
+    indices in ``mask`` (in increasing order) on the integer matrix
+    ``rows``: its entry (p, q) is the determinant of rows mask + idx[p] by
+    columns mask + idx[q], and ``prev`` is the minor on ``mask``.  By
+    Sylvester's identity the diagonal entry (c, c) is the minor on
+    mask + idx[c], and one Bareiss step with that pivot (every division
+    exact) gives the block of the child.  A zero pivot cannot divide, so
+    that child's subtree is filled by direct elimination.
+    """
+    for c, j in enumerate(idx):
+        pivot = block[c][c]
+        child = mask | 1 << j
+        values[child] = pivot
+        rest = idx[c + 1:]
+        if not rest:
+            continue
+        if pivot == 0:
+            _fill_direct(values, rows, child, rest)
+            continue
+        head = block[c][c + 1:]
+        sub = []
+        for row in block[c + 1:]:
+            left = row[c]
+            sub.append([(pivot * x - left * y) // prev
+                        for x, y in zip(row[c + 1:], head)])
+        _fill_minors(values, rows, child, sub, rest, pivot)
+
+
+def _fill_direct(values: list, rows: list[list[int]], mask: int,
+                 rest: list[int]) -> None:
+    """Minors of mask | U for every nonempty U within ``rest``, one
+    determinant each."""
+    base = [i - 1 for i in mask_indices(mask)]
+    for k in range(1, len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            idx = base + list(extra)
+            values[mask | sum(1 << j for j in extra)] = _det_bareiss(
+                [[rows[i][j] for j in idx] for i in idx])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +410,7 @@ def classify_P(a: Matrix, minors: MinorTable | None = None,
     """Strongest applicable class among P, P0_plus, P0, none."""
     if minors is None:
         minors = all_principal_minors(a, cap=cap)
-    vals = [v for alpha, v in minors.items() if alpha]
+    vals = minors.values[1:]
     if any(v < 0 for v in vals):
         return NO_P_CLASS
     if all(v > 0 for v in vals):

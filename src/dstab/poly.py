@@ -102,6 +102,15 @@ class Poly:
         self.terms = {k: as_exact(c) for k, c in clean.items() if c != 0}
 
     @staticmethod
+    def from_packed(terms: dict) -> "Poly":
+        """Wrap a dict of packed keys to nonzero exact coefficients, as is.
+
+        The caller vouches that every key is a valid packed monomial and
+        that no coefficient is zero.
+        """
+        return _wrap(terms)
+
+    @staticmethod
     def zero() -> "Poly":
         return Poly()
 

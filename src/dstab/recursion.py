@@ -16,17 +16,23 @@ principal-minor table and fills ancestors upward through the recurrence
     P_s = -d_{n-k} * Q_{0s} + P_{1s};   Q_s = d_{n-k} * P_{0s} + Q_{1s}.
 
 ``node_det_direct`` is an independently coded subset-expansion path kept for
-cross-validation.
+cross-validation.  The pipeline builds no tree: ``seed_fg`` forms the seeds
+F(0,1) and G(0,1), the product of the two depth-1 nodes, straight from the
+minor table, and ``build_tree`` with ``fg_pair`` stays as its oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import Matrix, MinorTable, all_principal_minors, principal_minor
-from .poly import Poly
+import numpy as np
+
+from .matrix import (Matrix, MinorTable, all_principal_minors,
+                     denominator_lcm, principal_minor)
+from .poly import EXP_BITS, Poly, as_exact
 
 
 @dataclass(frozen=True)
@@ -159,3 +165,93 @@ def fg_pair(a: DetPair, b: DetPair) -> PairFG:
     f = a.P * b.P + a.Q * b.Q
     g = a.P * b.Q - a.Q * b.P
     return PairFG((a.label, b.label), f, g)
+
+
+# ---------------------------------------------------------------------------
+# the seed product on dense grids
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_layout(m: int):
+    """Per-m constants of ``seed_fg``: the signs that turn minors into the
+    coefficients of P0, Q0, P1 + Q1 and P1 - Q1, and, per parity of the
+    total degree, the flat grid positions with their packed keys and
+    degrees."""
+    # i^|beta| = re + i*im cycles 1, i, -1, -i
+    re = [(1, 0, -1, 0)[b.bit_count() % 4] for b in range(1 << m)]
+    im = [(0, 1, 0, -1)[b.bit_count() % 4] for b in range(1 << m)]
+    signs = np.array([re, im, [x + y for x, y in zip(re, im)],
+                      [x - y for x, y in zip(re, im)]], dtype=object)
+    # flat position f = sum of e_v * 3^(v-1), where e_v is the exponent of d_v
+    exps = list(itertools.product(range(3), repeat=m))   # e_m first
+    keys = [sum(e << EXP_BITS * (m - 1 - k) for k, e in enumerate(es))
+            for es in exps]
+    degrees = [sum(es) for es in exps]
+    layout = []
+    for parity in (0, 1):
+        pos = np.array([f for f, deg in enumerate(degrees) if deg % 2 == parity],
+                       dtype=np.intp)
+        layout.append((pos, [keys[f] for f in pos], [degrees[f] for f in pos]))
+    return signs, layout
+
+
+def _to_grid(x: np.ndarray, m: int) -> np.ndarray:
+    """Values of multilinear polynomials on the grid {0, 1, inf}^m.
+
+    Row b of ``x`` holds the coefficients of one polynomial by bitmask (bit
+    v-1 for d_v); along each variable, a + b*d takes the values (a, a+b, b)
+    at d = 0, 1 and infinity (the leading coefficient).
+    """
+    batch = len(x)
+    for k in range(m):
+        x = x.reshape(batch, 3 ** k, 2, 2 ** (m - 1 - k))
+        lo, hi = x[:, :, 0], x[:, :, 1]
+        x = np.stack([lo, lo + hi, hi], axis=2)
+    return x.reshape(batch, 3 ** m)
+
+
+def _from_grid(y: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of a polynomial of degree <= 2 in each variable from its
+    grid values: along each variable, (v0, v1, vinf) maps to the
+    coefficients (v0, v1 - v0 - vinf, vinf) of 1, d and d^2."""
+    for k in range(m):
+        v = y.reshape(3 ** k, 3, 3 ** (m - 1 - k))
+        v[:, 1] -= v[:, 0] + v[:, 2]
+    return y
+
+
+def seed_fg(a: Matrix, minors: MinorTable) -> tuple[Poly, Poly]:
+    """F(0,1) and G(0,1) read straight off the minor table.
+
+    With m = n-1, z_s = det(A_s + i*D) = P_s + i*Q_s has the coefficient
+    i^|beta| * A(K_s minus beta) at d^beta, for K_0 = {1..m} and
+    K_1 = {1..n}.  F has only even-degree terms and G only odd ones, so
+    H = F + G = P0*(P1 + Q1) - Q0*(P1 - Q1) holds both.  The four factors
+    are evaluated on {0, 1, inf}^m, multiplied pointwise and interpolated
+    back; every step adds, subtracts or multiplies integers, so the result
+    is exact.  A rational table is scaled to the integer minors
+    L^|alpha| * A(alpha) of L*A first, and the coefficient of d^gamma is
+    divided by L^(2n-1-|gamma|) at the end.
+    """
+    n, m = a.n, a.n - 1
+    scale = denominator_lcm(a)
+    table = minors.values
+    powers = [scale ** k for k in range(2 * n)]
+    if scale != 1:
+        table = [int(v * powers[mask.bit_count()])
+                 for mask, v in enumerate(table)]
+    half = 1 << m
+    # A(K_s minus beta) for beta = 0, 1, ..., 2^m - 1
+    rows = np.array([table[half - 1::-1], table[:half - 1:-1]], dtype=object)
+    signs, layout = _seed_layout(m)
+    grid = _to_grid(rows[[0, 0, 1, 1]] * signs, m)
+    h = _from_grid(grid[0] * grid[2] - grid[1] * grid[3], m)
+    seeds = []
+    for pos, keys, degrees in layout:
+        coeffs = h[pos].tolist()
+        if scale != 1:
+            coeffs = [as_exact(Fraction(c, powers[2 * n - 1 - deg]))
+                      for c, deg in zip(coeffs, degrees)]
+        seeds.append(Poly.from_packed(
+            {key: c for key, c in zip(keys, coeffs) if c}))
+    return seeds[0], seeds[1]

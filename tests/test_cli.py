@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,16 @@ OLP_TEXT = """2 -2 1 0 0
 1 -1 1 0 0
 0 -1 0 1 -1
 0 1 0 0 2
+"""
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+PUBLISHED_5X5_I_TEXT = """100.00  17.85  18.21 -10.86 -23.71
+  2.07  27.19  -0.47  16.65  -0.23
+ 19.18 -78.22  94.07  20.13  34.86
+ -4.37  13.73  -0.70 115.66  -7.10
+ 21.96   7.00  39.87  10.92  55.94
 """
 
 
@@ -118,6 +129,25 @@ def test_minor_cap_env_override(capsys, tmp_path, monkeypatch):
     assert "DSTAB_MINOR_CAP" in err and "'many'" in err
 
 
+@pytest.mark.parametrize("text,argv,golden", [
+    (OLP_TEXT, ["minors", "--json"], "worked_example_minors.json"),
+    (OLP_TEXT, ["expand", "--depth", "3", "--json"],
+     "worked_example_expand_depth3.json"),
+    (PUBLISHED_5X5_I_TEXT, ["expand", "--depth", "1", "--json"],
+     "published_5x5_I_expand_depth1.json"),
+])
+def test_table_and_seed_dumps_match_golden_text(capsys, tmp_path, text, argv,
+                                                golden):
+    """Byte for byte the output of the per-subset minor table and the
+    term-by-term seed product that the bitmask table and the grid product
+    replaced."""
+    p = tmp_path / "a.txt"
+    p.write_text(text)
+    code, out = run(capsys, argv[0], str(p), *argv[1:])
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_expand_seed_polynomials(capsys, olp_file):
     code, out = run(capsys, "expand", olp_file)
     assert code == 0
@@ -156,6 +186,17 @@ def test_experiment_negative_trials_is_a_usage_error(capsys):
     assert code == 3
     assert captured.out == ""
     assert "dstab: error: trials must be nonnegative" in captured.err
+
+
+def test_experiment_respects_the_minor_cap_env(capsys, monkeypatch):
+    monkeypatch.setenv("DSTAB_MINOR_CAP", "3")
+    code = main(["experiment", "--n", "4", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("dstab: error: minor enumeration needs 2^4 "
+                            "determinants; cap is n <= 3\n")
+    assert main(["experiment", "--n", "3", "--trials", "1"]) == 0
 
 
 def test_experiment_one_by_one_certifies(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dstab import certifier, harness, matrix, recursion
+from dstab import certifier, cli, harness, matrix, recursion
 from dstab.certifier import (CERTIFIED, FAILED_NECESSARY, FALSIFIED,
                              INCONCLUSIVE, NOT_STABLE)
 from dstab.falsifier import stable_seed
@@ -172,23 +172,22 @@ def test_check_makes_one_minor_table_and_one_seed_per_permutation(
                      "all_principal_minors": 1}
 
 
-def test_hot_path_builds_only_depth_one_trees(monkeypatch):
-    depths = []
-
-    def recording(a, depth=None, minors=None):
-        depths.append(depth)
-        return recursion.build_tree(a, depth=depth, minors=minors)
-    for owner in (harness, certifier):
-        monkeypatch.setattr(owner, "build_tree", recording)
+def test_hot_path_builds_no_tree(monkeypatch):
+    """The seeds are read off the minor table; no production path builds a
+    delete/zero tree, which stays a test oracle."""
+    def no_tree(*args, **kwargs):
+        raise AssertionError("build_tree called")
+    for owner in (harness, recursion):
+        monkeypatch.setattr(owner, "build_tree", no_tree)
+    # no other module holds a name it could call
+    assert not hasattr(certifier, "build_tree")
+    assert not hasattr(cli, "build_tree")
     run_experiment(4, 20, seed=3)
-    n_experiment = len(depths)
     cfg = RunConfig(test="both", depth="auto", refine=True, permutations=2)
     assert check_matrix(random_stable_matrix(6, 0), cfg).permutation
-    assert n_experiment > 0 and len(depths) == n_experiment + 3
-    certifier.test_hierarchy(OLP)
+    assert certifier.test_hierarchy(OLP).verdict == INCONCLUSIVE
     certifier.seed_polys(OLP)
-    assert len(depths) == n_experiment + 5
-    assert set(depths) == {1}
+    assert len(certifier.coeff_tree(OLP, depth=3).nodes) == 1 + 3 + 9 + 27
 
 
 def test_generator_style_parse():
