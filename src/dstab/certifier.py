@@ -267,15 +267,16 @@ def hierarchy_depths(n: int, which: str,
 def test_hierarchy(a: Matrix, which: str = "I",
                    depth: int | str | None = None, refine: bool = False,
                    tree=None, check_preconditions: bool = True, *,
-                   minors: MinorTable | None = None) -> TestReport:
+                   minors: MinorTable | None = None,
+                   seeds: tuple[Poly, Poly] | None = None) -> TestReport:
     """Depth-limited sufficient test on the branched coefficient trees.
 
     ``which`` selects the seed: "I" (F(0,1)), "II" (G(0,1)) or "both".
     ``depth`` is an integer in 0..n-2 (default n-2) or "auto", which walks
     the depths upward over the same seeds and returns the first that
     certifies (else the depth n-2 report).
-    The seeds come from ``tree`` when one is given, else from ``minors``
-    (enumerated here when absent).
+    The seeds are ``seeds`` when given, else they come from ``tree`` when
+    one is given, else from ``minors`` (enumerated here when absent).
     Certification is hierarchical with early stopping: a branch whose node
     polynomial certifies positive (by coefficient signs or, with ``refine``,
     by quadratic-discriminant analysis on nodes of at most two variables)
@@ -293,7 +294,8 @@ def test_hierarchy(a: Matrix, which: str = "I",
         if not necessary_filter(a, minors=minors):
             return TestReport(FAILED_NECESSARY,
                               detail="matrix is not a P0+-matrix")
-    f01, g01 = seed_polys(a, tree, minors=minors)
+    f01, g01 = (seeds if seeds is not None
+                else seed_polys(a, tree, minors=minors))
     roots = {"I": [f01], "II": [g01], "both": [f01, g01]}[which]
     for k in depths:
         # "both" reports Test I's nodes followed by Test II's
@@ -307,9 +309,12 @@ def test_hierarchy(a: Matrix, which: str = "I",
 
 
 def step1_sufficient(a: Matrix, *,
-                     minors: MinorTable | None = None) -> TestReport:
-    """Certify via coefficientwise positivity of F(0,1) or G(0,1)."""
-    f01, g01 = seed_polys(a, minors=minors)
+                     seeds: tuple[Poly, Poly] | None = None) -> TestReport:
+    """Certify via coefficientwise positivity of F(0,1) or G(0,1).
+
+    The seeds are ``seeds`` when given, else ``seed_polys(a)``.
+    """
+    f01, g01 = seeds if seeds is not None else seed_polys(a)
     for name, poly in (("I", f01), ("II", g01)):
         sign = poly.coeffwise_sign()
         if sign == NONNEG_STRICT:

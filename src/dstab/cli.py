@@ -80,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--permutations", type=int, default=0, metavar="K",
                        help="extra random permutation-similarity retries")
     check.add_argument("--falsify", type=int, default=0, metavar="N",
-                       help="randomized counterexample trials before testing")
+                       help="randomized counterexample trials; past the "
+                            "probes and first chunk, only on a matrix the "
+                            "certificates leave unsettled")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--json", action="store_true")
 

@@ -121,23 +121,38 @@ def deterministic_probes(n: int) -> list[tuple[float, ...]]:
     return probes
 
 
-def _sample_chunks(n: int, trials: int, seed: int, lo: float, hi: float):
-    """Yield (first index, diagonals) runs covering indices 0..trials-1.
+def first_stage_trials(n: int) -> int:
+    """Samples in the falsifier's first two runs: the probes and one CHUNK
+    of draws."""
+    return len(deterministic_probes(n)) + CHUNK
+
+
+def _sample_chunks(n: int, start: int, stop: int, seed: int, lo: float,
+                   hi: float):
+    """Yield (first index, diagonals) runs covering indices start..stop-1.
 
     The deterministic probes come first, as one run; then per-coordinate
-    log-uniform draws over [lo, hi] in runs of CHUNK, sample ``index``
-    drawn from its own ``random.Random(stable_seed(seed, index))``.
+    log-uniform draws over [lo, hi] in runs of CHUNK.  Sample ``index`` is
+    drawn as from its own ``random.Random(stable_seed(seed, index))``: one
+    generator is reseeded per sample, and the hash of ``stable_seed``'s
+    "seed:" prefix is computed once and copied.
     """
-    probes = deterministic_probes(n)[:trials]
-    yield 0, probes
-    log_lo, log_hi = log(lo), log(hi)
-    for start in range(len(probes), trials, CHUNK):
+    probes = deterministic_probes(n)
+    if start < len(probes):
+        yield start, probes[start:stop]
+    log_lo = log(lo)
+    width = log(hi) - log_lo
+    prefix = hashlib.sha256(f"{seed!r}:".encode())
+    rng = random.Random()
+    for first in range(max(start, len(probes)), stop, CHUNK):
         chunk = []
-        for index in range(start, min(start + CHUNK, trials)):
-            rng = random.Random(stable_seed(seed, index))
-            chunk.append(tuple(exp(log_lo + (log_hi - log_lo) * rng.random())
+        for index in range(first, min(first + CHUNK, stop)):
+            h = prefix.copy()
+            h.update(repr(index).encode())
+            rng.seed(int.from_bytes(h.digest()[:8], "big"))
+            chunk.append(tuple(exp(log_lo + width * rng.random())
                                for _ in range(n)))
-        yield start, chunk
+        yield first, chunk
 
 
 def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:
@@ -156,27 +171,38 @@ def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:
 
 
 def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
-            lo: float = 1e-3, hi: float = 1e3) -> Optional[Counterexample]:
+            lo: float = 1e-3, hi: float = 1e3, *,
+            start: int = 0) -> Optional[Counterexample]:
     """Search for a positive diagonal witnessing non-D-stability.
 
     Deterministic probes run first, then per-coordinate log-uniform samples
-    over [lo, hi].  Deterministic given (seed, trials, lo, hi).  Returns the
-    first exactly verified counterexample, or None.  Margins are computed a
-    chunk of samples at a time; the samples, and so the witness, are the
-    same as when each sample is checked on its own.
+    over [lo, hi].  Deterministic given (seed, start, trials, lo, hi): the
+    sample at ``index`` is drawn from
+    ``random.Random(stable_seed(seed, index))``, and a returned
+    counterexample records that seed and index.  Returns the first exactly
+    verified counterexample, or None.  Margins are computed a chunk of
+    samples at a time; the samples, and so the witness, are the same as
+    when each sample is checked on its own.
+
+    The search covers the ``trials`` indices from ``start`` on, so that
+    ``falsify(a, k, seed)`` and then ``falsify(a, n - k, seed, start=k)``
+    find the witness of ``falsify(a, n, seed)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if start < 0:
+        raise ValueError("start must be >= 0")
     if not (0 < lo < hi and isfinite(hi)):
         raise ValueError("need finite 0 < lo < hi")
     a_float = _np(a)
-    for start, chunk in _sample_chunks(a.n, trials, seed, lo, hi):
+    for first, chunk in _sample_chunks(a.n, start, start + trials, seed,
+                                       lo, hi):
         margins = _chunk_margins(a, a_float, chunk)
         # not (margin > tolerance), as a NaN margin is a candidate too
         for i in np.flatnonzero(~(margins > GUARD_TOLERANCE)):
             d = chunk[i]
             if _verify_exact(a, d):
-                sample = DiagonalSample(d, seed=seed, index=start + int(i))
+                sample = DiagonalSample(d, seed=seed, index=first + int(i))
                 return Counterexample(sample, _offending_eigenvalue(a, d),
                                       float(margins[i]))
     return None

@@ -6,13 +6,14 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Optional
 
+from . import certifier
 from .certifier import (CERTIFIED, FAILED_NECESSARY, FALSIFIED, INCONCLUSIVE,
                         NOT_STABLE, TestReport, hierarchy_depths,
                         one_by_one_report, step1_sufficient, test_hierarchy)
-from .falsifier import falsify, stable_seed
+from .falsifier import falsify, first_stage_trials, stable_seed
 from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable,
                      all_principal_minors, check_minor_cap,
                      is_positive_stable, necessary_filter)
@@ -40,12 +41,19 @@ class RunConfig:
 def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
     """Run the full verdict pipeline on one matrix.
 
-    Cheap filters first: exact stability, then the P0+ necessary condition,
-    then (optionally) the randomized falsifier, then the step-1 sufficient
-    test and finally one hierarchy run per permutation.  The minor table is
-    enumerated once and decides stability; permuted retries relabel it.
-    Above the cap, stability is decided from ``char_poly`` and a stable
-    matrix raises ``MinorCapExceeded``.
+    Cheap filters first: exact stability, then the P0+ necessary condition.
+    Then the (optional) randomized falsifier's first stage, its probes and
+    first chunk of draws, where a falsifiable matrix is usually caught.
+    Then the proofs: the step-1 sufficient test and one hierarchy run per
+    permutation.  Only a matrix that no proof certifies meets the rest of
+    the falsifier's samples.  The split does not change a report: the
+    samples are searched in index order either way, a Certified matrix is
+    D-stable, so no exactly verified counterexample exists for it, and a
+    found counterexample is reported on its own.
+    The minor table is enumerated once and decides stability; permuted
+    retries relabel it.  The seeds are formed once for step 1 and the
+    unpermuted hierarchy run.  Above the cap, stability is decided from
+    ``char_poly`` and a stable matrix raises ``MinorCapExceeded``.
     """
     cfg = cfg or RunConfig()
     for name in ("permutations", "falsify_trials"):
@@ -64,13 +72,13 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
     if not necessary_filter(a, minors=minors):
         return TestReport(FAILED_NECESSARY,
                           detail="matrix is not a P0+-matrix")
-    if cfg.falsify_trials > 0:
-        found = falsify(a, trials=cfg.falsify_trials, seed=cfg.seed)
-        if found is not None:
-            return TestReport(FALSIFIED, counterexample=found,
-                              detail="positive diagonal with nonpositive "
-                                     "spectral margin")
-    report = step1_sufficient(a, minors=minors)
+    first = min(cfg.falsify_trials, first_stage_trials(a.n))
+    found = _falsify_range(a, cfg.seed, 0, first)
+    if found is not None:
+        return _falsified(found)
+    # looked up on the module, so that a wrapped seed_polys sees this call
+    seeds = certifier.seed_polys(a, minors=minors)
+    report = step1_sufficient(a, seeds=seeds)
     if report.verdict == CERTIFIED:
         return report
     rng = random.Random(cfg.seed)
@@ -81,20 +89,47 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
         perms.append(tuple(p))
     for perm in perms:
         if perm is None:
-            mat, mat_minors = a, minors
+            mat, mat_minors, mat_seeds = a, minors, seeds
         else:
-            mat, mat_minors = a.permuted(perm), minors.permuted(perm)
+            mat, mat_minors, mat_seeds = (a.permuted(perm),
+                                          minors.permuted(perm), None)
         report = test_hierarchy(mat, which=cfg.test, depth=cfg.depth,
                                 refine=cfg.refine, check_preconditions=False,
-                                minors=mat_minors)
+                                minors=mat_minors, seeds=mat_seeds)
         report.permutation = perm
         if report.verdict == CERTIFIED:
-            break
-    return report
+            return report
+    found = _falsify_range(a, cfg.seed, first, cfg.falsify_trials)
+    return report if found is None else _falsified(found)
+
+
+def _falsify_range(a: Matrix, seed: int, start: int, stop: int):
+    """``falsify`` over the sample indices start..stop-1 (none if empty)."""
+    if stop <= start:
+        return None
+    return falsify(a, trials=stop - start, seed=seed, start=start)
+
+
+def _falsified(found) -> TestReport:
+    return TestReport(FALSIFIED, counterexample=found,
+                      detail="positive diagonal with nonpositive spectral "
+                             "margin")
 
 
 # ---------------------------------------------------------------------------
 # random stable matrices and the experiment loop
+
+
+def _finite(key: str, value: str) -> float:
+    """A generator parameter's value, which must be a finite number."""
+    try:
+        x = float(value)
+        if isfinite(x):
+            return x
+    except ValueError:
+        pass
+    raise ValueError(f"generator parameter {key} must be a finite number, "
+                     f"got {value.strip()!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +158,7 @@ class GeneratorStyle:
             key = key.strip()
             if key not in ("diag_lo", "diag_hi", "noise"):
                 raise ValueError(f"unknown generator parameter {key!r}")
-            kwargs[key] = float(value)
+            kwargs[key] = _finite(key, value)
         return GeneratorStyle(**{**style.__dict__, **kwargs})
 
     def describe(self) -> str:
@@ -223,8 +258,10 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
     Each trial draws its matrix from a seed derived from (seed, trial), so
     results are reproducible and order-independent.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+    for name, count in (("trials", trials),
+                        ("falsify_trials", falsify_trials)):
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count}")
     if isinstance(style, str):
         style = GeneratorStyle.parse(style)
     top = max(n - 2, 0)
@@ -234,6 +271,7 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         raise ValueError(f"depth must be an integer in 0..{top}, got {depth!r}")
     check_minor_cap(n, minor_cap)
     counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED_NECESSARY: 0, FALSIFIED: 0}
+    first = min(falsify_trials, first_stage_trials(n))
     start = time.perf_counter()
     for t in range(trials):
         trial_seed = stable_seed(seed, t)
@@ -246,13 +284,18 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         if not necessary_filter(a, minors=minors):
             counts[FAILED_NECESSARY] += 1
             continue
-        if falsify_trials > 0:
-            if falsify(a, trials=falsify_trials, seed=trial_seed) is not None:
-                counts[FALSIFIED] += 1
-                continue
-        rep = test_hierarchy(a, which=test, depth=depth, refine=refine,
-                             check_preconditions=False, minors=minors)
-        counts[rep.verdict] += 1
+        # as in check_matrix: the falsifier's first stage, the proofs, and
+        # the rest of the samples only for an uncertified trial
+        if _falsify_range(a, trial_seed, 0, first) is not None:
+            counts[FALSIFIED] += 1
+            continue
+        verdict = test_hierarchy(a, which=test, depth=depth, refine=refine,
+                                 check_preconditions=False,
+                                 minors=minors).verdict
+        if (verdict != CERTIFIED and _falsify_range(
+                a, trial_seed, first, falsify_trials) is not None):
+            verdict = FALSIFIED
+        counts[verdict] += 1
     stats = ExperimentStats(n=n, trials=trials, seed=seed,
                             generator=style.describe(), test=test,
                             depth=depth, refine=refine, counts=counts,

@@ -255,6 +255,17 @@ def test_experiment_exhausted_rejection_budget_is_a_usage_error(capsys):
     assert "diag_lo=-100.0,diag_hi=-50.0" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["noise=nan", "diag_hi=inf"])
+def test_experiment_nonfinite_style_is_a_usage_error(capsys, spec):
+    code = main(["experiment", "--n", "3", "--trials", "2", "--style", spec])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    key, _, value = spec.partition("=")
+    assert captured.err == (f"dstab: error: generator parameter {key} must "
+                            f"be a finite number, got '{value}'\n")
+
+
 @pytest.mark.parametrize("sign,code,message", [
     (-1, 1, "verdict: NotStable"), (1, 3, "cap is n <= 12")])
 def test_check_above_the_minor_cap(capsys, tmp_path, sign, code, message):

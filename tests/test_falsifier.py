@@ -11,7 +11,8 @@ from dstab.falsifier import (CHUNK, GUARD_TOLERANCE, Counterexample,
                              DiagonalSample, _chunk_margins, _np,
                              _offending_eigenvalue, _sample_chunks,
                              _verify_exact, deterministic_probes, falsify,
-                             johnson_F, spectral_margin, stable_seed)
+                             first_stage_trials, johnson_F, spectral_margin,
+                             stable_seed)
 from dstab.matrix import Matrix, is_positive_stable, parse_matrix
 from dstab.recursion import build_tree
 
@@ -89,6 +90,8 @@ def test_falsify_argument_validation():
         falsify(Matrix.identity(2), trials=0)
     with pytest.raises(ValueError):
         falsify(Matrix.identity(2), lo=1.0, hi=0.5)
+    with pytest.raises(ValueError):
+        falsify(Matrix.identity(2), start=-1)
     for lo, hi in ((1e-3, float("inf")), (float("nan"), 1.0),
                    (1e-3, float("nan")), (0.0, 1.0)):
         with pytest.raises(ValueError):
@@ -146,8 +149,9 @@ def per_sample_falsify(a, trials, seed):
 
 @st.composite
 def falsifier_cases(draw):
-    """A small integer or two-decimal matrix at n=2..6 and a trial count
-    below the probe count, within one chunk of draws, or across chunks."""
+    """A small integer or two-decimal matrix at n=2..6, a trial count
+    below the probe count, within one chunk of draws, or across chunks, and
+    a seed, negative or at least 2**64 too, as the draws hash its repr."""
     n = draw(st.integers(2, 6))
     entry = draw(st.sampled_from([
         st.integers(-6, 6).map(Fraction),
@@ -158,7 +162,9 @@ def falsifier_cases(draw):
                             st.integers(probes + 1, probes + CHUNK),
                             st.integers(probes + CHUNK + 1,
                                         probes + 2 * CHUNK + 1)))
-    return a, trials, draw(st.integers(0, 2 ** 32))
+    seed = draw(st.one_of(st.integers(0, 2 ** 32), st.integers(max_value=-1),
+                          st.integers(min_value=2 ** 64)))
+    return a, trials, seed
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,12 +176,22 @@ def test_batched_falsify_matches_per_sample_loop(case):
     # the chunks hold the reference draws in order, and their margins are
     # spectral_margin's, bit for bit
     drawn = []
-    for start, chunk in _sample_chunks(a.n, trials, seed, 1e-3, 1e3):
+    for start, chunk in _sample_chunks(a.n, 0, trials, seed, 1e-3, 1e3):
         assert start == len(drawn)
         drawn += chunk
         assert _chunk_margins(a, _np(a), chunk).tolist() == \
             [spectral_margin(a, d) for d in chunk]
     assert drawn == list(per_sample_diagonals(a.n, trials, seed))
+    # a search split in two draws the same samples and finds the same
+    # witness
+    k = trials // 2
+    assert [d for _, chunk in _sample_chunks(a.n, k, trials, seed, 1e-3, 1e3)
+            for d in chunk] == drawn[k:]
+    if k:
+        later = falsify(a, trials=trials - k, seed=seed, start=k)
+        assert later is None or later.sample.index >= k
+        assert (falsify(a, trials=k, seed=seed) or later) == \
+            falsify(a, trials=trials, seed=seed)
 
 
 # Every sample of this block-diagonal matrix is a float candidate, since the
@@ -197,6 +213,20 @@ def test_first_verified_hit_in_a_later_chunk():
     assert spectral_margin(RARE_HIT, (1.0, 1.0, 1.0)) <= GUARD_TOLERANCE
     assert not _verify_exact(RARE_HIT, (1.0, 1.0, 1.0))
     assert falsify(RARE_HIT, trials=4 * CHUNK, seed=LATE_SEED) == expected
+
+
+def test_second_half_of_a_split_search_finds_a_late_witness():
+    expected = per_sample_falsify(RARE_HIT, 4 * CHUNK, LATE_SEED)
+    first = first_stage_trials(3)
+    assert first == len(deterministic_probes(3)) + CHUNK
+    assert falsify(RARE_HIT, trials=first, seed=LATE_SEED) is None
+    assert falsify(RARE_HIT, trials=4 * CHUNK - first, seed=LATE_SEED,
+                   start=first) == expected
+    # the samples before ``start`` are not searched
+    after = expected.sample.index + 1
+    later = falsify(RARE_HIT, trials=4 * CHUNK - after, seed=LATE_SEED,
+                    start=after)
+    assert later is None or later.sample.index > expected.sample.index
 
 
 def test_stacked_eigensolve_failure_falls_back_per_sample(monkeypatch):

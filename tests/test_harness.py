@@ -1,18 +1,20 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dstab import certifier, cli, harness, matrix, recursion
 from dstab.certifier import (CERTIFIED, FAILED_NECESSARY, FALSIFIED,
                              INCONCLUSIVE, NOT_STABLE)
-from dstab.falsifier import stable_seed
+from dstab.falsifier import falsify, first_stage_trials, stable_seed
 from dstab.harness import (GeneratorStyle, RunConfig, check_matrix,
                            random_stable_matrix, run_experiment)
 from dstab.matrix import (Matrix, MinorCapExceeded, is_positive_stable,
-                          parse_matrix)
+                          necessary_filter, parse_matrix)
 from test_acceptance import (PUBLISHED_5X5_TEST_I, PUBLISHED_5X5_TEST_II,
                              PUBLISHED_6X6_TEST_I)
 
@@ -167,8 +169,8 @@ def test_check_makes_one_minor_table_and_one_seed_per_permutation(
     # every permutation is tried, each at every depth
     assert rep.verdict == INCONCLUSIVE and rep.permutation is not None
     assert rep.depth == 4
-    # step 1, then one seed product per permutation (the identity included)
-    assert calls == {"seed_polys": 1 + (1 + cfg.permutations),
+    # one seed product per permutation: step 1 and the identity share one
+    assert calls == {"seed_polys": 1 + cfg.permutations,
                      "all_principal_minors": 1}
 
 
@@ -197,6 +199,11 @@ def test_generator_style_parse():
     with pytest.raises(ValueError):
         GeneratorStyle.parse("sigma=3")
     assert "noise=" in s.describe()
+    for spec in ("noise=nan", "diag_hi=inf", "diag_lo=-inf", "noise=abc"):
+        key, _, value = spec.partition("=")
+        with pytest.raises(ValueError, match=f"{key} must be a finite "
+                                             f"number, got '{value}'"):
+            GeneratorStyle.parse(spec)
 
 
 def test_random_stable_matrix_postconditions():
@@ -226,6 +233,12 @@ def test_experiment_empty():
     assert sum(st.counts.values()) == 0
     assert st.hit_rate == 0.0
     assert st.wilson_interval() == (0.0, 0.0)
+
+
+def test_experiment_refuses_negative_counts():
+    for kwargs in ({"trials": -1}, {"trials": 0, "falsify_trials": -5}):
+        with pytest.raises(ValueError, match="must be nonnegative, got -"):
+            run_experiment(3, **kwargs)
 
 
 def test_experiment_checks_depth_before_any_trial():
@@ -305,3 +318,125 @@ def test_verdicts_agree_on_d_stability_preserving_transforms(case):
     assert not {CERTIFIED, FALSIFIED} <= verdicts
     for verdict in (NOT_STABLE, FAILED_NECESSARY):
         assert verdict not in verdicts or verdicts == {verdict}
+
+
+# ---------------------------------------------------------------------------
+# the falsifier's first stage, then the proofs, then the rest of the samples
+
+
+def recording_falsify(calls):
+    """harness.falsify, recording each call's (start, trials)."""
+    def recording(a, **kwargs):
+        calls.append((kwargs.get("start", 0), kwargs["trials"]))
+        return falsify(a, **kwargs)
+    return recording
+
+
+def test_certified_checks_sample_only_the_first_stage(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "falsify", recording_falsify(calls))
+    cfg = RunConfig(test="both", depth="auto", refine=True,
+                    falsify_trials=1000)
+    for a in (OLP, PUBLISHED_5X5_TEST_I, PUBLISHED_5X5_TEST_II,
+              PUBLISHED_6X6_TEST_I):
+        calls.clear()
+        assert check_matrix(a, cfg).verdict == CERTIFIED
+        assert calls == [(0, first_stage_trials(a.n))]
+    calls.clear()
+    st = run_experiment(2, 50, style="noise=5", falsify_trials=1000)
+    assert st.counts[CERTIFIED] == 50
+    assert calls == [(0, first_stage_trials(2))] * 50
+
+
+def falsifier_first(a, cfg):
+    """Test oracle: check_matrix with the whole falsifier run right after
+    the filter, before step 1 and the hierarchy."""
+    if cfg.falsify_trials > 0 and is_positive_stable(a) \
+            and necessary_filter(a):
+        found = falsify(a, trials=cfg.falsify_trials, seed=cfg.seed)
+        if found is not None:
+            return certifier.TestReport(FALSIFIED, counterexample=found,
+                                        detail="positive diagonal with "
+                                               "nonpositive spectral margin")
+    return check_matrix(a, replace(cfg, falsify_trials=0))
+
+
+@st.composite
+def order_cases(draw):
+    """An integer or two-decimal matrix at n=2..5 with small diagonals (a
+    mix of all five verdicts), and a check configuration whose falsifier
+    may end within its first stage or go past it."""
+    n = draw(st.integers(2, 5))
+    # integers, quarters or hundredths
+    scale = draw(st.sampled_from([1, 4, 100]))
+    a = Matrix([[Fraction(draw(st.integers(0, 5 * scale) if i == j
+                               else st.integers(-2 * scale, 2 * scale)),
+                          scale)
+                 for j in range(n)] for i in range(n)])
+    cfg = RunConfig(test=draw(st.sampled_from(["I", "II", "both"])),
+                    refine=draw(st.booleans()),
+                    permutations=draw(st.integers(0, 2)),
+                    falsify_trials=draw(st.one_of(st.just(0),
+                                                  st.integers(1, 300),
+                                                  st.integers(301, 600))),
+                    seed=draw(st.integers(0, 2 ** 32)))
+    return a, cfg
+
+
+# P0+ and stable, yet Falsified: by a probe, by a draw of the first stage,
+# and by a draw after it (index 306 at seed 0)
+FALSIFIED_BY_PROBE = parse_matrix("2 0 -2 -2\n-1 0 -1 -1\n3 1 4 -3\n1 2 2 2")
+FALSIFIED_BY_DRAW = parse_matrix("""
+ 1.24 -0.09  0.34  0.45
+ 0.71  0.06 -0.94 -0.09
+-0.48  2.09  2.20 -2.87
+-0.26  2.53  0.92  0.93
+""")
+FALSIFIED_LATE = parse_matrix("4 -3 -2 -3\n1 4 0 2\n1 -1 0 -3\n3 -3 3 1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=order_cases())
+@example(case=(FALSIFIED_BY_PROBE, RunConfig(test="both", falsify_trials=20)))
+@example(case=(FALSIFIED_BY_DRAW, RunConfig(test="both", refine=True,
+                                            permutations=2,
+                                            falsify_trials=300)))
+@example(case=(FALSIFIED_LATE, RunConfig(test="both", refine=True,
+                                         permutations=2, falsify_trials=600)))
+def test_splitting_the_falsifier_changes_no_report(case):
+    """The falsifier's first stage, the proofs and then the rest of the
+    samples give the same report as the whole falsifier first.  Only a
+    matrix that every proof leaves Inconclusive is sampled past the first
+    stage: a Certified matrix is D-stable, so it survives any number of
+    exactly re-checked samples."""
+    a, cfg = case
+    calls = []
+    with mock.patch.object(harness, "falsify", recording_falsify(calls)):
+        got = check_matrix(a, cfg).to_dict()
+    verdict = got["verdict"]
+    event(verdict)
+    assert got == falsifier_first(a, cfg).to_dict()
+    first = min(cfg.falsify_trials, first_stage_trials(a.n))
+    expected = []
+    if first and verdict not in (NOT_STABLE, FAILED_NECESSARY):
+        expected.append((0, first))
+    late = verdict == INCONCLUSIVE or (
+        verdict == FALSIFIED
+        and got["counterexample"]["sample"]["index"] >= first)
+    if late and cfg.falsify_trials > first:
+        event("sampled past the first stage")
+        expected.append((first, cfg.falsify_trials - first))
+    assert calls == expected
+    if verdict == CERTIFIED:
+        assert falsify(a, trials=300, seed=cfg.seed) is None
+
+
+def test_the_order_examples_are_falsified():
+    for a, trials, index in ((FALSIFIED_BY_PROBE, 300, 14),
+                             (FALSIFIED_BY_DRAW, 300, 59),
+                             (FALSIFIED_LATE, 600, 306)):
+        rep = check_matrix(a, RunConfig(test="both", refine=True,
+                                        falsify_trials=trials))
+        assert rep.verdict == FALSIFIED
+        assert rep.counterexample.sample.index == index
+    assert index >= first_stage_trials(FALSIFIED_LATE.n)
