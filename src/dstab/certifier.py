@@ -25,7 +25,7 @@ from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable,
                      all_principal_minors, is_positive_stable,
                      necessary_filter)
 from .poly import IDENTICALLY_ZERO, NONNEG_STRICT, Poly
-from .recursion import fg_pair, seed_fg
+from .recursion import fg_pair, seed_fg, seed_negative_screen
 
 CERTIFIED = "Certified"
 INCONCLUSIVE = "Inconclusive"
@@ -306,6 +306,28 @@ def test_hierarchy(a: Matrix, which: str = "I",
             if certified:
                 return TestReport(CERTIFIED, test=which, depth=k, nodes=nodes)
     return TestReport(INCONCLUSIVE, test=which, depth=k, nodes=nodes)
+
+
+def screened_verdict(a: Matrix, which: str = "I", *,
+                     minors: MinorTable) -> str:
+    """The verdict of ``test_hierarchy(a, which, refine=False)``, at any depth.
+
+    Without refinement the walk certifies exactly when a seed is nonzero
+    with no negative coefficient: a node's children split its terms, so a
+    negative coefficient reaches a leaf of any depth and leaves it
+    unknown.  A seed that ``seed_negative_screen`` proves negative
+    somewhere needs no exact product; otherwise the seeds are formed
+    exactly and their sign class decides, so Certified rests on them alone.
+    """
+    hierarchy_depths(a.n, which, None)   # refuses a bad seed
+    tests = {"I": (0,), "II": (1,), "both": (0, 1)}[which]
+    negative = seed_negative_screen(a, minors)
+    if all(negative[t] for t in tests):
+        return INCONCLUSIVE
+    seeds = seed_polys(a, minors=minors)
+    if any(seeds[t].coeffwise_sign() == NONNEG_STRICT for t in tests):
+        return CERTIFIED
+    return INCONCLUSIVE
 
 
 def step1_sufficient(a: Matrix, *,

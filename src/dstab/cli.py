@@ -14,6 +14,7 @@ Exit codes: 0 Certified, 1 Falsified / NotStable / FailedNecessary,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -93,8 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--style", default="default",
                      help="generator spec, e.g. 'noise=10,diag_hi=80'")
     exp.add_argument("--test", choices=("I", "II"), default="I")
-    exp.add_argument("--depth", type=int, default=None)
-    exp.add_argument("--refine", action="store_true")
+    exp.add_argument("--depth", type=int, default=None, metavar="N",
+                     help="coefficient-tree depth (default n-2); it changes "
+                          "no verdict without --refine")
+    exp.add_argument("--refine", action="store_true",
+                     help="apply quadratic-discriminant refinement")
     exp.add_argument("--json", action="store_true")
 
     minors = sub.add_parser("minors", help="principal minor table dump")
@@ -202,9 +206,15 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` keeps no state in
+    it, since every call fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, MinorCapExceeded) as exc:

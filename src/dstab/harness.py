@@ -12,7 +12,8 @@ from typing import Optional
 from . import certifier
 from .certifier import (CERTIFIED, FAILED_NECESSARY, FALSIFIED, INCONCLUSIVE,
                         NOT_STABLE, TestReport, hierarchy_depths,
-                        one_by_one_report, step1_sufficient, test_hierarchy)
+                        one_by_one_report, screened_verdict, step1_sufficient,
+                        test_hierarchy)
 from .falsifier import falsify, first_stage_trials, stable_seed
 from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable,
                      all_principal_minors, check_minor_cap,
@@ -256,8 +257,12 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
     """Generate stable matrices and tally the certification verdicts.
 
     Each trial draws its matrix from a seed derived from (seed, trial), so
-    results are reproducible and order-independent.
+    results are reproducible and order-independent.  Without ``refine`` a
+    trial's verdict does not depend on ``depth`` (see ``screened_verdict``),
+    and no coefficient tree is walked.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     for name, count in (("trials", trials),
                         ("falsify_trials", falsify_trials)):
         if count < 0:
@@ -269,6 +274,7 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         depth = top
     elif depth not in range(top + 1):
         raise ValueError(f"depth must be an integer in 0..{top}, got {depth!r}")
+    hierarchy_depths(n, test, depth)   # refuses a bad test
     check_minor_cap(n, minor_cap)
     counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED_NECESSARY: 0, FALSIFIED: 0}
     first = min(falsify_trials, first_stage_trials(n))
@@ -289,9 +295,12 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         if _falsify_range(a, trial_seed, 0, first) is not None:
             counts[FALSIFIED] += 1
             continue
-        verdict = test_hierarchy(a, which=test, depth=depth, refine=refine,
-                                 check_preconditions=False,
-                                 minors=minors).verdict
+        if refine:
+            verdict = test_hierarchy(a, which=test, depth=depth, refine=True,
+                                     check_preconditions=False,
+                                     minors=minors).verdict
+        else:
+            verdict = screened_verdict(a, test, minors=minors)
         if (verdict != CERTIFIED and _falsify_range(
                 a, trial_seed, first, falsify_trials) is not None):
             verdict = FALSIFIED

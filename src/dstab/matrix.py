@@ -363,6 +363,18 @@ def char_poly(a: Matrix) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
+def _hurwitz_matrix(coeffs: Sequence) -> list[list]:
+    """The n x n Hurwitz matrix of a_n x^n + ... + a_0, entry (i, j) being
+    a_{n-2j+i} (zero outside 0..n); ``coeffs`` lowest-degree first."""
+    n = len(coeffs) - 1
+
+    def at(k: int):
+        return coeffs[k] if 0 <= k <= n else 0
+
+    return [[at(n - 2 * j + i) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+
+
 def hurwitz_determinants(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """Leading principal minors of the Hurwitz matrix of a_n x^n + ... + a_0.
 
@@ -370,16 +382,38 @@ def hurwitz_determinants(coeffs: Sequence[Fraction]) -> list[Fraction]:
     positive.
     """
     n = len(coeffs) - 1
-    a = list(coeffs)
-
-    def at(k: int) -> Fraction:
-        return a[k] if 0 <= k <= n else 0
-
-    h = [[at(n - 2 * j + i) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    h = _hurwitz_matrix(coeffs)
     dets = []
     for k in range(1, n + 1):
         dets.append(_det_bareiss([row[:k] for row in h[:k]]))
     return dets
+
+
+def _hurwitz_stable(coeffs: Sequence[Fraction]) -> bool:
+    """True iff every leading principal minor of the Hurwitz matrix is
+    positive, decided in one fraction-free elimination.
+
+    Bareiss elimination without row exchanges leaves the k-th leading minor
+    as its k-th pivot, so the first nonpositive pivot decides, and no
+    later minor is formed.  Rational coefficients are scaled to integers
+    first: scaling by L > 0 multiplies the k-th minor by L^k.
+    """
+    n = len(coeffs) - 1
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    h = _hurwitz_matrix([int(c * scale) for c in coeffs])
+    prev = 1
+    for k in range(n):
+        row_k = h[k]
+        pivot = row_k[k]
+        if pivot <= 0:
+            return False
+        for row_i in h[k + 1:]:
+            mik = row_i[k]
+            for j in range(k + 1, n):
+                # every division is exact (Sylvester's identity)
+                row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
+        prev = pivot
+    return True
 
 
 def is_positive_stable(a: Matrix, minors: MinorTable | None = None) -> bool:
@@ -398,7 +432,7 @@ def is_positive_stable(a: Matrix, minors: MinorTable | None = None) -> bool:
     # A Hurwitz-stable polynomial has all coefficients positive; cheap filter.
     if any(c <= 0 for c in coeffs):
         return False
-    return all(d > 0 for d in hurwitz_determinants(coeffs))
+    return _hurwitz_stable(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -171,17 +171,23 @@ def fg_pair(a: DetPair, b: DetPair) -> PairFG:
 # the seed product on dense grids
 
 
+# i^k = re + i*im for k = 0..3
+_UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_signs(m: int, dtype) -> np.ndarray:
+    """The signs that turn the minors A(K_s minus beta) into the
+    coefficients of P0, Q0, P1 + Q1 and P1 - Q1 at d^beta."""
+    re, im = zip(*(_UNIT[b.bit_count() % 4] for b in range(1 << m)))
+    return np.array([re, im, [x + y for x, y in zip(re, im)],
+                     [x - y for x, y in zip(re, im)]], dtype=dtype)
+
+
 @functools.lru_cache(maxsize=None)
 def _seed_layout(m: int):
-    """Per-m constants of ``seed_fg``: the signs that turn minors into the
-    coefficients of P0, Q0, P1 + Q1 and P1 - Q1, and, per parity of the
-    total degree, the flat grid positions with their packed keys and
-    degrees."""
-    # i^|beta| = re + i*im cycles 1, i, -1, -i
-    re = [(1, 0, -1, 0)[b.bit_count() % 4] for b in range(1 << m)]
-    im = [(0, 1, 0, -1)[b.bit_count() % 4] for b in range(1 << m)]
-    signs = np.array([re, im, [x + y for x, y in zip(re, im)],
-                      [x - y for x, y in zip(re, im)]], dtype=object)
+    """Per parity of the total degree, the flat grid positions of ``seed_fg``
+    with their packed keys and degrees."""
     # flat position f = sum of e_v * 3^(v-1), where e_v is the exponent of d_v
     exps = list(itertools.product(range(3), repeat=m))   # e_m first
     keys = [sum(e << EXP_BITS * (m - 1 - k) for k, e in enumerate(es))
@@ -192,7 +198,7 @@ def _seed_layout(m: int):
         pos = np.array([f for f, deg in enumerate(degrees) if deg % 2 == parity],
                        dtype=np.intp)
         layout.append((pos, [keys[f] for f in pos], [degrees[f] for f in pos]))
-    return signs, layout
+    return layout
 
 
 def _to_grid(x: np.ndarray, m: int) -> np.ndarray:
@@ -220,6 +226,29 @@ def _from_grid(y: np.ndarray, m: int) -> np.ndarray:
     return y
 
 
+def _integer_table(a: Matrix, minors: MinorTable) -> tuple[list, int, list]:
+    """The minor table of the integer matrix L*A, with L and its powers.
+
+    L is the lcm of the entry denominators, and the minor of L*A on alpha
+    is L^|alpha| * A(alpha), so an integer table is returned as it is.
+    """
+    scale = denominator_lcm(a)
+    powers = [scale ** k for k in range(2 * a.n)]
+    table = minors.values
+    if scale != 1:
+        table = [int(v * powers[mask.bit_count()])
+                 for mask, v in enumerate(table)]
+    return table, scale, powers
+
+
+def _seed_rows(table: list, m: int, dtype) -> np.ndarray:
+    """The four factors P0, Q0, P1 + Q1, P1 - Q1 of H by coefficient, from
+    A(K_s minus beta) for beta = 0, 1, ..., 2^m - 1."""
+    half = 1 << m
+    rows = np.array([table[half - 1::-1], table[:half - 1:-1]], dtype=dtype)
+    return rows[[0, 0, 1, 1]] * _seed_signs(m, dtype)
+
+
 def seed_fg(a: Matrix, minors: MinorTable) -> tuple[Poly, Poly]:
     """F(0,1) and G(0,1) read straight off the minor table.
 
@@ -234,20 +263,11 @@ def seed_fg(a: Matrix, minors: MinorTable) -> tuple[Poly, Poly]:
     divided by L^(2n-1-|gamma|) at the end.
     """
     n, m = a.n, a.n - 1
-    scale = denominator_lcm(a)
-    table = minors.values
-    powers = [scale ** k for k in range(2 * n)]
-    if scale != 1:
-        table = [int(v * powers[mask.bit_count()])
-                 for mask, v in enumerate(table)]
-    half = 1 << m
-    # A(K_s minus beta) for beta = 0, 1, ..., 2^m - 1
-    rows = np.array([table[half - 1::-1], table[:half - 1:-1]], dtype=object)
-    signs, layout = _seed_layout(m)
-    grid = _to_grid(rows[[0, 0, 1, 1]] * signs, m)
+    table, scale, powers = _integer_table(a, minors)
+    grid = _to_grid(_seed_rows(table, m, object), m)
     h = _from_grid(grid[0] * grid[2] - grid[1] * grid[3], m)
     seeds = []
-    for pos, keys, degrees in layout:
+    for pos, keys, degrees in _seed_layout(m):
         coeffs = h[pos].tolist()
         if scale != 1:
             coeffs = [as_exact(Fraction(c, powers[2 * n - 1 - deg]))
@@ -255,3 +275,71 @@ def seed_fg(a: Matrix, minors: MinorTable) -> tuple[Poly, Poly]:
         seeds.append(Poly.from_packed(
             {key: c for key, c in zip(keys, coeffs) if c}))
     return seeds[0], seeds[1]
+
+
+def _seed_coefficient(table: list, m: int, flat: int) -> int:
+    """One coefficient of H = F + G of L*A, exactly: the one at grid
+    position ``flat``, that is at d^gamma with gamma_v the base-3 digit of
+    3^(v-1).
+
+    With T the variables of exponent 2 and O those of exponent 1, it is
+    the sum over S within O of x0(T+S)*x2(T+O-S) - x1(T+S)*x3(T+O-S), for
+    x0..x3 the coefficients of P0, Q0, P1 + Q1 and P1 - Q1 (at most 2^m
+    products).
+    """
+    twos = ones = 0
+    for v in range(m):
+        flat, digit = divmod(flat, 3)
+        if digit == 2:
+            twos |= 1 << v
+        elif digit == 1:
+            ones |= 1 << v
+    half = 1 << m
+    top = (1 << (m + 1)) - 1
+
+    def factors(beta):
+        # i^|beta| = re + i*im; A(K_0 minus beta) and A(K_1 minus beta)
+        re, im = _UNIT[beta.bit_count() % 4]
+        z0, z1 = table[half - 1 - beta], table[top - beta]
+        return re * z0, im * z0, (re + im) * z1, (re - im) * z1
+
+    total = 0
+    sub = ones
+    while True:   # every S within O, ending with the empty set
+        x0, x1, _, _ = factors(twos | sub)
+        _, _, x2, x3 = factors(twos | (ones ^ sub))
+        total += x0 * x2 - x1 * x3
+        if not sub:
+            return total
+        sub = (sub - 1) & ones
+
+
+def seed_negative_screen(a: Matrix, minors: MinorTable) -> tuple[bool, bool]:
+    """Whether F(0,1) and G(0,1) are proven to have a negative coefficient.
+
+    The seed product runs once in float64 on the integer table, and for
+    each seed the most negative float coefficient is recomputed exactly by
+    ``_seed_coefficient``.  The signs of the coefficients are those of L*A,
+    since each is divided by a positive power of L.  Floats only pick the
+    candidate: True is an exact proof, while False (no negative float
+    coefficient, an exact recheck that is not negative, or a float
+    overflow) proves nothing.
+    """
+    m = a.n - 1
+    table = _integer_table(a, minors)[0]
+    try:
+        rows = _seed_rows(table, m, np.float64)
+    except OverflowError:   # an integer minor beyond the float range
+        return False, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _to_grid(rows, m)
+        h = _from_grid(grid[0] * grid[2] - grid[1] * grid[3], m)
+    if not np.isfinite(h).all():
+        return False, False
+    proven = []
+    for pos, _, _ in _seed_layout(m):
+        coeffs = h[pos]
+        k = int(np.argmin(coeffs))
+        proven.append(bool(coeffs[k] < 0)
+                      and _seed_coefficient(table, m, int(pos[k])) < 0)
+    return proven[0], proven[1]

@@ -6,18 +6,19 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dstab import certifier, recursion
 from dstab.certifier import (CERTIFIED, FAILED_NECESSARY, INCONCLUSIVE,
                              NOT_STABLE, IntervalSet, coeff_tree,
                              collect_variable, degenerate_step2,
                              make_quadratic, quadratic_refine,
-                             quadratic_zero_location, region_S, seed_polys,
-                             step1_sufficient, step2_Q0_system,
-                             step2_nondegenerate)
+                             quadratic_zero_location, region_S,
+                             screened_verdict, seed_polys, step1_sufficient,
+                             step2_Q0_system, step2_nondegenerate)
 from dstab.certifier import test_hierarchy as hierarchy
 from dstab.harness import RunConfig, check_matrix
-from dstab.matrix import Matrix, parse_matrix
-from dstab.poly import Poly
-from dstab.recursion import fg_pair, node_det_direct
+from dstab.matrix import Matrix, all_principal_minors, parse_matrix
+from dstab.poly import NONNEG_STRICT, Poly
+from dstab.recursion import fg_pair, node_det_direct, seed_negative_screen
 
 OLP = parse_matrix("""
 2 -2 1 0 0
@@ -189,6 +190,90 @@ def test_auto_depth_is_the_lowest_certifying_depth(a, which, refine):
                              refine=refine).verdict == INCONCLUSIVE
     elif auto.verdict == INCONCLUSIVE:
         assert auto.depth == a.n - 2
+
+
+@st.composite
+def screen_matrices(draw, lo: int, hi: int):
+    """Integer matrices at n = lo..hi: dense ones with a small positive
+    diagonal, diagonal ones, and block upper triangular ones.  The last two
+    factor det(A + iD), so their seeds often have zero coefficients or
+    terms that cancel."""
+    n = draw(st.integers(lo, hi))
+    kind = draw(st.sampled_from(["dense", "diagonal", "block"]))
+    rows = [[draw(st.integers(1, 4)) if i == j else draw(st.integers(-3, 3))
+             for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        rows = [[rows[i][i] if i == j else 0 for j in range(n)]
+                for i in range(n)]
+    elif kind == "block":
+        k = draw(st.integers(1, n - 1))
+        for i in range(k, n):
+            rows[i][:k] = [0] * k
+    return Matrix(rows)
+
+
+def _sign_class_verdict(seed: Poly) -> str:
+    return (CERTIFIED if seed.coeffwise_sign() == NONNEG_STRICT
+            else INCONCLUSIVE)
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=st.one_of(screen_matrices(2, 6), olp_variants()),
+       which=st.sampled_from(["I", "II"]))
+@example(a=Matrix.identity(4), which="I")
+@example(a=OLP, which="I")
+def test_unrefined_walk_decides_by_the_seed_sign_class(a, which):
+    f01, g01 = seed_polys(a)
+    want = _sign_class_verdict(f01 if which == "I" else g01)
+    for k in range(a.n - 1):
+        rep = hierarchy(a, which=which, depth=k, check_preconditions=False)
+        assert rep.verdict == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.one_of(screen_matrices(2, 7), olp_variants()),
+       which=st.sampled_from(["I", "II", "both"]))
+@example(a=Matrix.identity(5), which="both")
+@example(a=Matrix([[2, 1], [1, 2]]), which="II")
+def test_screened_verdict_equals_the_unrefined_walk(a, which):
+    minors = all_principal_minors(a)
+    want = hierarchy(a, which=which, check_preconditions=False,
+                     minors=minors).verdict
+    assert screened_verdict(a, which, minors=minors) == want
+    # a seed proven negative somewhere never certifies
+    f01, g01 = seed_polys(a, minors=minors)
+    for seed, negative in zip((f01, g01), seed_negative_screen(a, minors)):
+        if negative:
+            assert any(c < 0 for c in seed.terms.values())
+
+
+def test_screen_falls_back_to_the_exact_seeds(monkeypatch):
+    formed = []
+    seed_fg = certifier.seed_fg
+    monkeypatch.setattr(certifier, "seed_fg",
+                        lambda *args: formed.append(1) or seed_fg(*args))
+    # the screen settles the worked example without the exact seeds; a
+    # seed with no negative coefficient, minors beyond the float range and
+    # products beyond it need them
+    cases = [(OLP, INCONCLUSIVE, []), (Matrix.identity(4), CERTIFIED, [1])]
+    cases += [(OLP.scale(10 ** k), INCONCLUSIVE, [1]) for k in (100, 40)]
+    for a, verdict, products in cases:
+        minors = all_principal_minors(a)
+        formed.clear()
+        assert screened_verdict(a, "I", minors=minors) == verdict
+        assert formed == products
+        assert seed_negative_screen(a, minors) == (not products,) * 2
+    # a float candidate that the exact recheck does not confirm
+    monkeypatch.setattr(recursion, "_seed_coefficient", lambda *args: 0)
+    formed.clear()
+    assert screened_verdict(OLP, "both", minors=all_principal_minors(OLP)) \
+        == INCONCLUSIVE
+    assert formed == [1]
+
+
+def test_screened_verdict_refuses_a_bad_seed():
+    with pytest.raises(ValueError, match="which must be"):
+        screened_verdict(OLP, "III", minors=all_principal_minors(OLP))
 
 
 def test_certified_report_is_serializable():

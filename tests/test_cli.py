@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from dstab import cli
 from dstab.cli import main
 
 OLP_TEXT = """2 -2 1 0 0
@@ -83,6 +84,37 @@ def test_usage_error_exit_three(olp_file):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 3
+
+
+def test_successive_calls_share_one_parser_and_no_state(
+        capsys, olp_file, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    code, out = run(capsys, "experiment", "--n", "4", "--trials", "3",
+                    "--depth", "1", "--refine", "--test", "II", "--json")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert (stats["depth"], stats["refine"], stats["test"]) == (1, True, "II")
+    # nothing of the first call's options carries over
+    code, out = run(capsys, "experiment", "--n", "4", "--trials", "3",
+                    "--json")
+    stats = json.loads(out)["stats"]
+    assert (stats["depth"], stats["refine"], stats["test"]) == (2, False, "I")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--n", "x", "--trials", "1"])
+    assert exc.value.code == 3
+    code, out = run(capsys, "check", olp_file)
+    assert code == 2 and out.startswith("verdict: Inconclusive")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", olp_file, "--badflag"])
+    assert exc.value.code == 3
+    code, out = run(capsys, "check", olp_file, "--refine", "--depth", "3")
+    assert code == 0 and out.startswith("verdict: Certified")
+    assert built == [1]
+    cli._parser.cache_clear()
 
 
 def test_check_json_payload(capsys, olp_file):
@@ -186,6 +218,15 @@ def test_experiment_negative_trials_is_a_usage_error(capsys):
     assert code == 3
     assert captured.out == ""
     assert "dstab: error: trials must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_experiment_without_a_dimension_is_a_usage_error(capsys, n):
+    code = main(["experiment", "--n", n, "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"dstab: error: n must be at least 1, got {n}\n"
 
 
 def test_experiment_respects_the_minor_cap_env(capsys, monkeypatch):

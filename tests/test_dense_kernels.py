@@ -1,6 +1,6 @@
-"""Oracle properties of the two dense exact kernels: the bitmask minor table
-built from shared Bareiss prefixes, and the seed product on the grid
-{0, 1, inf}^(n-1)."""
+"""Oracle properties of the dense exact kernels: the bitmask minor table
+built from shared Bareiss prefixes, the seed product on the grid
+{0, 1, inf}^(n-1), and one seed coefficient recomputed from the table."""
 
 import itertools
 from fractions import Fraction
@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from dstab.certifier import seed_polys
 from dstab.matrix import Matrix, all_principal_minors, principal_minor
-from dstab.recursion import build_tree, fg_pair
+from dstab.poly import EXP_BITS
+from dstab.recursion import (_integer_table, _seed_coefficient, build_tree,
+                             fg_pair)
 
 INTEGERS = st.integers(-5, 5)
 # mixed denominators within one matrix
@@ -74,3 +76,19 @@ def test_permuted_table_and_order_sums_match_a_fresh_table(a, data):
                 for alpha in itertools.combinations(range(1, a.n + 1), k))
             for k in range(1, a.n + 1)]
     assert table.order_sums() == sums == moved.order_sums()
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=matrices(2, 6))
+def test_one_seed_coefficient_equals_the_seed_product(a):
+    """Every grid position's exact coefficient, read from the integer table
+    of L*A, is L^(2n-1-|gamma|) times that of F(0,1) + G(0,1)."""
+    n, m = a.n, a.n - 1
+    f, g = seed_polys(a, minors=all_principal_minors(a))
+    table, _, powers = _integer_table(a, all_principal_minors(a))
+    for flat, exps in enumerate(itertools.product(range(3), repeat=m)):
+        # exps holds e_m first, so d_v's digit is the one of 3^(v-1)
+        key = sum(e << EXP_BITS * (m - 1 - k) for k, e in enumerate(exps))
+        want = (f.terms.get(key, 0) + g.terms.get(key, 0)) \
+            * powers[2 * n - 1 - sum(exps)]
+        assert _seed_coefficient(table, m, flat) == want

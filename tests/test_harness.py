@@ -192,6 +192,27 @@ def test_hot_path_builds_no_tree(monkeypatch):
     assert len(certifier.coeff_tree(OLP, depth=3).nodes) == 1 + 3 + 9 + 27
 
 
+def test_unrefined_trial_forms_an_exact_seed_product_only_to_certify(
+        monkeypatch):
+    """At n >= 5 an Inconclusive trial is settled by one exact seed
+    coefficient, and only a Certified one forms the exact seed product;
+    with refinement every trial walks the tree on its exact seeds."""
+    formed = []
+    seed_fg = recursion.seed_fg
+    for owner in (certifier, recursion):
+        monkeypatch.setattr(owner, "seed_fg",
+                            lambda *args: formed.append(1) or seed_fg(*args))
+    stats = run_experiment(5, 100, seed=3)
+    assert stats.counts == {CERTIFIED: 1, INCONCLUSIVE: 99,
+                            FAILED_NECESSARY: 0, FALSIFIED: 0}
+    assert len(formed) == 1
+    formed.clear()
+    assert run_experiment(7, 6, seed=0, depth=3).counts[INCONCLUSIVE] == 6
+    assert formed == []
+    refined = run_experiment(5, 10, seed=3, refine=True)
+    assert len(formed) == 10 - refined.counts[FAILED_NECESSARY]
+
+
 def test_generator_style_parse():
     s = GeneratorStyle.parse("noise=10,diag_hi=80")
     assert s.noise == 10 and s.diag_hi == 80 and s.diag_lo == 20
@@ -239,6 +260,17 @@ def test_experiment_refuses_negative_counts():
     for kwargs in ({"trials": -1}, {"trials": 0, "falsify_trials": -5}):
         with pytest.raises(ValueError, match="must be nonnegative, got -"):
             run_experiment(3, **kwargs)
+
+
+def test_experiment_refuses_a_bad_dimension_or_test_before_any_trial():
+    for n in (0, -3):
+        for trials in (0, 2):
+            with pytest.raises(ValueError, match=f"n must be at least 1, "
+                                                 f"got {n}"):
+                run_experiment(n, trials)
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="which must be"):
+            run_experiment(n, 0, test="III")
 
 
 def test_experiment_checks_depth_before_any_trial():

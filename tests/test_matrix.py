@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstab.matrix import (DEFAULT_MINOR_CAP, Matrix, MinorCapExceeded,
-                          all_principal_minors, char_poly, classify_P,
-                          det_complex, hurwitz_determinants,
+                          _hurwitz_stable, all_principal_minors, char_poly,
+                          classify_P, det_complex, hurwitz_determinants,
                           is_positive_stable, necessary_filter, parse_matrix,
                           principal_minor)
 
@@ -208,6 +208,49 @@ def test_stability_from_order_sums_matches_char_poly(a):
     # det(lambda*I + A) = sum_k (-1)^k c_k lambda^k, c_k of det(A - lambda*I)
     coeffs = [(-1) ** k * c for k, c in enumerate(char_poly(a).coeffs)]
     assert coeffs == [*reversed(minors.order_sums()), 1]
+
+
+@st.composite
+def hurwitz_cases(draw):
+    """Coefficients, lowest degree first, of a product of factors x + r and
+    x^2 + b*x + c with small integer or rational r, b, c.  A zero r or b
+    puts a root on the imaginary axis and a Hurwitz minor at zero."""
+    number = draw(st.sampled_from([
+        st.integers(-3, 4),
+        st.fractions(-3, 4, max_denominator=6)]))
+    coeffs = [draw(st.sampled_from([1, 2, Fraction(1, 3)]))]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            factor = [draw(number), 1]
+        else:
+            factor = [draw(number), draw(number), 1]
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, x in enumerate(coeffs):
+            for j, y in enumerate(factor):
+                out[i + j] += x * y
+        coeffs = out
+    if draw(st.booleans()):   # perturb one coefficient
+        k = draw(st.integers(0, len(coeffs) - 1))
+        coeffs[k] += draw(number)
+    return coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=hurwitz_cases())
+def test_one_pass_routh_hurwitz_matches_the_hurwitz_determinants(coeffs):
+    if coeffs[-1] <= 0:
+        return
+    want = all(d > 0 for d in hurwitz_determinants(coeffs))
+    assert _hurwitz_stable(coeffs) == want
+
+
+def test_one_pass_routh_hurwitz_boundary_cases():
+    # (x + 1)(x^2 + 1): H2 = 0, the imaginary pair; x^2 + x: H2 = 0
+    for coeffs in ([1, 1, 1, 1], [0, 1, 1], [2, 0, 1]):
+        assert 0 in hurwitz_determinants(coeffs)
+        assert not _hurwitz_stable(coeffs)
+    assert _hurwitz_stable([2, 3, 1])
+    assert _hurwitz_stable([Fraction(1, 6), Fraction(5, 6), Fraction(1)])
 
 
 def test_stability_boundary_is_rejected():
