@@ -241,12 +241,13 @@ def _integer_table(a: Matrix, minors: MinorTable) -> tuple[list, int, list]:
     return table, scale, powers
 
 
-def _seed_rows(table: list, m: int, dtype) -> np.ndarray:
-    """The four factors P0, Q0, P1 + Q1, P1 - Q1 of H by coefficient, from
-    A(K_s minus beta) for beta = 0, 1, ..., 2^m - 1."""
+def _seed_product(table: list, m: int, dtype) -> np.ndarray:
+    """H = P0*(P1 + Q1) - Q0*(P1 - Q1) by flat grid position, computed in
+    ``dtype`` from the minors A(K_s minus beta) of an integer table."""
     half = 1 << m
     rows = np.array([table[half - 1::-1], table[:half - 1:-1]], dtype=dtype)
-    return rows[[0, 0, 1, 1]] * _seed_signs(m, dtype)
+    grid = _to_grid(rows[[0, 0, 1, 1]] * _seed_signs(m, dtype), m)
+    return _from_grid(grid[0] * grid[2] - grid[1] * grid[3], m)
 
 
 def seed_fg(a: Matrix, minors: MinorTable) -> tuple[Poly, Poly]:
@@ -264,8 +265,7 @@ def seed_fg(a: Matrix, minors: MinorTable) -> tuple[Poly, Poly]:
     """
     n, m = a.n, a.n - 1
     table, scale, powers = _integer_table(a, minors)
-    grid = _to_grid(_seed_rows(table, m, object), m)
-    h = _from_grid(grid[0] * grid[2] - grid[1] * grid[3], m)
+    h = _seed_product(table, m, object)
     seeds = []
     for pos, keys, degrees in _seed_layout(m):
         coeffs = h[pos].tolist()
@@ -328,12 +328,10 @@ def seed_negative_screen(a: Matrix, minors: MinorTable) -> tuple[bool, bool]:
     m = a.n - 1
     table = _integer_table(a, minors)[0]
     try:
-        rows = _seed_rows(table, m, np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _seed_product(table, m, np.float64)
     except OverflowError:   # an integer minor beyond the float range
         return False, False
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = _to_grid(rows, m)
-        h = _from_grid(grid[0] * grid[2] - grid[1] * grid[3], m)
     if not np.isfinite(h).all():
         return False, False
     proven = []
