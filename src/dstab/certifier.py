@@ -118,7 +118,7 @@ def seed_polys(a: Matrix, tree=None, *,
         return pair.F, pair.G
     if minors is None:
         minors = all_principal_minors(a, cap=max(a.n, DEFAULT_MINOR_CAP))
-    return seed_fg(a, minors)
+    return seed_fg(minors)
 
 
 @dataclass
@@ -146,14 +146,16 @@ def collect_variable(n: int, level: int) -> int:
 
 
 def coeff_tree(a: Matrix, seed: str = "F01", depth: int = 0, *,
-               minors: MinorTable | None = None) -> CoeffTree:
+               seeds: tuple[Poly, Poly] | None = None) -> CoeffTree:
+    """The coefficient tree of ``seed`` to ``depth`` levels; the seeds are
+    ``seeds`` when given, else ``seed_polys(a)``."""
     n = a.n
     if not 0 <= depth <= n - 2:
         raise ValueError("depth must lie in 0..n-2")
-    f01, g01 = seed_polys(a, minors=minors)
-    root = {"F01": f01, "G01": g01}.get(seed)
-    if root is None:
+    if seed not in ("F01", "G01"):
         raise ValueError("seed must be 'F01' or 'G01'")
+    f01, g01 = seeds if seeds is not None else seed_polys(a)
+    root = f01 if seed == "F01" else g01
     nodes = {"": root}
     frontier = {"": root}
     for j in range(depth):
@@ -321,7 +323,7 @@ def screened_verdict(a: Matrix, which: str = "I", *,
     """
     hierarchy_depths(a.n, which, None)   # refuses a bad seed
     tests = {"I": (0,), "II": (1,), "both": (0, 1)}[which]
-    negative = seed_negative_screen(a, minors)
+    negative = seed_negative_screen(minors)
     if all(negative[t] for t in tests):
         return INCONCLUSIVE
     seeds = seed_polys(a, minors=minors)

@@ -180,14 +180,13 @@ def cmd_minors(args) -> int:
 
 def cmd_expand(args) -> int:
     a = load_matrix(args.file)
-    minors = all_principal_minors(a, cap=_minor_cap())
-    f, g = seed_polys(a, minors=minors)
+    f, g = seed_polys(a, minors=all_principal_minors(a, cap=_minor_cap()))
     payload = {"schema": REPORT_SCHEMA, "command": "expand",
                "n": a.n, "F01": f.render(), "G01": g.render()}
     lines = [f"F(0,1) = {f.render()}", f"G(0,1) = {g.render()}"]
     if args.depth != 0:   # coeff_tree refuses a negative depth
         ct = coeff_tree(a, seed=args.seed_name, depth=args.depth,
-                        minors=minors)
+                        seeds=(f, g))
         payload["tree"] = {path: p.render() for path, p in
                            sorted(ct.nodes.items())}
         payload["tree_seed"] = args.seed_name

@@ -186,7 +186,8 @@ def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
 
     The search covers the ``trials`` indices from ``start`` on, so that
     ``falsify(a, k, seed)`` and then ``falsify(a, n - k, seed, start=k)``
-    find the witness of ``falsify(a, n, seed)``.
+    find the witness of ``falsify(a, n, seed)``.  A matrix with an entry
+    that times max(hi, 1e3) leaves the float range is refused (ValueError).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -194,7 +195,17 @@ def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
         raise ValueError("start must be >= 0")
     if not (0 < lo < hi and isfinite(hi)):
         raise ValueError("need finite 0 < lo < hi")
-    a_float = _np(a)
+    # the probes reach 1e3, so no sampled D*A has an entry beyond top*|A|
+    top = max(hi, 1e3)
+    try:
+        a_float = _np(a)
+        finite = isfinite(float(np.abs(a_float).max()) * top)
+    except OverflowError:   # an entry beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"falsify needs every entry times the largest "
+                         f"diagonal {top:g} to be finite in float64 (at "
+                         f"most {np.finfo(float).max:.6g})")
     for first, chunk in _sample_chunks(a.n, start, start + trials, seed,
                                        lo, hi):
         margins = _chunk_margins(a, a_float, chunk)

@@ -204,28 +204,38 @@ def mask_indices(mask: int) -> list[int]:
 
 
 class MinorTable:
-    """All 2^n principal minors in one list indexed by bitmask.
+    """All 2^n principal minors of A, kept as the integer minors of L*A.
 
-    ``values[mask]`` is the minor on the indices of ``mask`` (bit i-1 stands
-    for index i), so ``values[0]`` is the empty minor 1.  Lookups take
-    1-based index sets.
+    ``scale`` is L, the lcm of A's denominators, and ``values[mask]`` is
+    L^|alpha| * A(alpha) for the indices alpha of ``mask`` (bit i-1 for
+    index i; ``values[0]`` is 1).  Lookups take 1-based index sets and
+    return A's minors, the values themselves when L = 1.
     """
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "values", "scale")
 
-    def __init__(self, n: int, values: list):
+    def __init__(self, n: int, values: list, scale: int):
         self.n = n
         self.values = values
+        self.scale = scale
+
+    def unscaled(self, value: int, order: int):
+        """A's value of a table quantity of this order: value / L^order."""
+        if self.scale == 1:
+            return value
+        return as_exact(Fraction(value, self.scale ** order))
 
     def __getitem__(self, alpha) -> Fraction:
-        return self.values[index_mask(alpha)]
+        mask = index_mask(alpha)
+        return self.unscaled(self.values[mask], mask.bit_count())
 
     def __len__(self):
         return len(self.values)
 
     def items(self):
-        """(frozen index set, minor) pairs in bitmask order."""
-        return [(frozenset(mask_indices(mask)), val)
+        """(frozen index set, minor of A) pairs in bitmask order."""
+        return [(frozenset(mask_indices(mask)),
+                 self.unscaled(val, mask.bit_count()))
                 for mask, val in enumerate(self.values)]
 
     def permuted(self, perm: Sequence[int]) -> "MinorTable":
@@ -243,14 +253,14 @@ class MinorTable:
             low = mask & -mask
             moved[mask] = moved[mask ^ low] | bit[low]
             out[moved[mask]] = self.values[mask]
-        return MinorTable(self.n, out)
+        return MinorTable(self.n, out, self.scale)
 
     def order_sums(self) -> list[Fraction]:
-        """Sum of all principal minors of order k, for k = 1..n."""
+        """Sum of all principal minors of A of order k, for k = 1..n."""
         sums = [0] * (self.n + 1)
         for mask, val in enumerate(self.values):
             sums[mask.bit_count()] += val
-        return sums[1:]
+        return [self.unscaled(s, k) for k, s in enumerate(sums) if k]
 
 
 def check_minor_cap(n: int, cap: int = DEFAULT_MINOR_CAP) -> None:
@@ -259,29 +269,21 @@ def check_minor_cap(n: int, cap: int = DEFAULT_MINOR_CAP) -> None:
             f"minor enumeration needs 2^{n} determinants; cap is n <= {cap}")
 
 
-def denominator_lcm(a: Matrix) -> int:
-    """The lcm of the entry denominators: the least L with L*A integral."""
-    return math.lcm(*(x.denominator for row in a.rows for x in row
-                      if not isinstance(x, int)))
-
-
 def all_principal_minors(a: Matrix, cap: int = DEFAULT_MINOR_CAP) -> MinorTable:
     """The minor table, by Bareiss elimination with shared prefixes.
 
-    A rational matrix is scaled to the integer matrix L*A first (L the lcm
-    of its denominators), whose minor on alpha is L^|alpha| * A(alpha).
+    The elimination runs on the integer matrix L*A, for L the least
+    positive integer that makes it integral (the lcm of A's denominators);
+    the table keeps its minors L^|alpha| * A(alpha) and L.
     """
     check_minor_cap(a.n, cap)
     n = a.n
-    scale = denominator_lcm(a)
+    scale = math.lcm(*(x.denominator for row in a.rows for x in row
+                       if not isinstance(x, int)))
     rows = [[int(x * scale) for x in row] for row in a.rows]
     values = [1] * (1 << n)
     _fill_minors(values, rows, 0, rows, list(range(n)), 1)
-    if scale != 1:
-        powers = [scale ** k for k in range(n + 1)]
-        values = [as_exact(Fraction(v, powers[mask.bit_count()]))
-                  for mask, v in enumerate(values)]
-    return MinorTable(n, values)
+    return MinorTable(n, values, scale)
 
 
 def _fill_minors(values: list, rows: list[list[int]], mask: int,
@@ -444,7 +446,7 @@ def classify_P(a: Matrix, minors: MinorTable | None = None,
     """Strongest applicable class among P, P0_plus, P0, none."""
     if minors is None:
         minors = all_principal_minors(a, cap=cap)
-    vals = minors.values[1:]
+    vals = minors.values[1:]   # the signs of A's minors, as L > 0
     if any(v < 0 for v in vals):
         return NO_P_CLASS
     if all(v > 0 for v in vals):

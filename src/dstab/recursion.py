@@ -30,9 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import (Matrix, MinorTable, all_principal_minors,
-                     denominator_lcm, principal_minor)
-from .poly import EXP_BITS, Poly, as_exact
+from .matrix import Matrix, MinorTable, all_principal_minors, principal_minor
+from .poly import EXP_BITS, Poly
 
 
 @dataclass(frozen=True)
@@ -226,21 +225,6 @@ def _from_grid(y: np.ndarray, m: int) -> np.ndarray:
     return y
 
 
-def _integer_table(a: Matrix, minors: MinorTable) -> tuple[list, int, list]:
-    """The minor table of the integer matrix L*A, with L and its powers.
-
-    L is the lcm of the entry denominators, and the minor of L*A on alpha
-    is L^|alpha| * A(alpha), so an integer table is returned as it is.
-    """
-    scale = denominator_lcm(a)
-    powers = [scale ** k for k in range(2 * a.n)]
-    table = minors.values
-    if scale != 1:
-        table = [int(v * powers[mask.bit_count()])
-                 for mask, v in enumerate(table)]
-    return table, scale, powers
-
-
 def _seed_product(table: list, m: int, dtype) -> np.ndarray:
     """H = P0*(P1 + Q1) - Q0*(P1 - Q1) by flat grid position, computed in
     ``dtype`` from the minors A(K_s minus beta) of an integer table."""
@@ -250,7 +234,7 @@ def _seed_product(table: list, m: int, dtype) -> np.ndarray:
     return _from_grid(grid[0] * grid[2] - grid[1] * grid[3], m)
 
 
-def seed_fg(a: Matrix, minors: MinorTable) -> tuple[Poly, Poly]:
+def seed_fg(minors: MinorTable) -> tuple[Poly, Poly]:
     """F(0,1) and G(0,1) read straight off the minor table.
 
     With m = n-1, z_s = det(A_s + i*D) = P_s + i*Q_s has the coefficient
@@ -259,18 +243,18 @@ def seed_fg(a: Matrix, minors: MinorTable) -> tuple[Poly, Poly]:
     H = F + G = P0*(P1 + Q1) - Q0*(P1 - Q1) holds both.  The four factors
     are evaluated on {0, 1, inf}^m, multiplied pointwise and interpolated
     back; every step adds, subtracts or multiplies integers, so the result
-    is exact.  A rational table is scaled to the integer minors
-    L^|alpha| * A(alpha) of L*A first, and the coefficient of d^gamma is
-    divided by L^(2n-1-|gamma|) at the end.
+    is exact.  It runs on the table's integer minors of L*A, whose seeds
+    are A's with the coefficient of d^gamma times L^(2n-1-|gamma|), since
+    det(L*A_s + i*D) = L^k det(A_s + i*D/L) for a k x k block A_s; the
+    table divides that power out.
     """
-    n, m = a.n, a.n - 1
-    table, scale, powers = _integer_table(a, minors)
-    h = _seed_product(table, m, object)
+    n, m = minors.n, minors.n - 1
+    h = _seed_product(minors.values, m, object)
     seeds = []
     for pos, keys, degrees in _seed_layout(m):
         coeffs = h[pos].tolist()
-        if scale != 1:
-            coeffs = [as_exact(Fraction(c, powers[2 * n - 1 - deg]))
+        if minors.scale != 1:
+            coeffs = [minors.unscaled(c, 2 * n - 1 - deg)
                       for c, deg in zip(coeffs, degrees)]
         seeds.append(Poly.from_packed(
             {key: c for key, c in zip(keys, coeffs) if c}))
@@ -314,7 +298,7 @@ def _seed_coefficient(table: list, m: int, flat: int) -> int:
         sub = (sub - 1) & ones
 
 
-def seed_negative_screen(a: Matrix, minors: MinorTable) -> tuple[bool, bool]:
+def seed_negative_screen(minors: MinorTable) -> tuple[bool, bool]:
     """Whether F(0,1) and G(0,1) are proven to have a negative coefficient.
 
     The seed product runs once in float64 on the integer table, and for
@@ -325,8 +309,7 @@ def seed_negative_screen(a: Matrix, minors: MinorTable) -> tuple[bool, bool]:
     coefficient, an exact recheck that is not negative, or a float
     overflow) proves nothing.
     """
-    m = a.n - 1
-    table = _integer_table(a, minors)[0]
+    m, table = minors.n - 1, minors.values
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             h = _seed_product(table, m, np.float64)

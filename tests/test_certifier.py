@@ -95,6 +95,24 @@ def test_coeff_tree_argument_validation():
         coeff_tree(OLP, depth=4)
 
 
+def test_coeff_tree_reads_given_seeds_and_checks_the_name_first(monkeypatch):
+    seeds = seed_polys(OLP)
+    formed = []
+    seed_fg = certifier.seed_fg
+    monkeypatch.setattr(certifier, "seed_fg",
+                        lambda *args: formed.append(1) or seed_fg(*args))
+    with pytest.raises(ValueError, match="seed must be"):
+        coeff_tree(OLP, seed="H01")
+    assert formed == []
+    for name, root in zip(("F01", "G01"), seeds):
+        formed.clear()
+        given_seeds = coeff_tree(OLP, seed=name, depth=2, seeds=seeds)
+        assert formed == []
+        assert given_seeds.nodes[""] == root
+        assert given_seeds == coeff_tree(OLP, seed=name, depth=2)
+        assert formed == [1]
+
+
 # ---------------------------------------------------------------------------
 # hierarchy verdicts on the worked example
 
@@ -242,7 +260,7 @@ def test_screened_verdict_equals_the_unrefined_walk(a, which):
     assert screened_verdict(a, which, minors=minors) == want
     # a seed proven negative somewhere never certifies
     f01, g01 = seed_polys(a, minors=minors)
-    for seed, negative in zip((f01, g01), seed_negative_screen(a, minors)):
+    for seed, negative in zip((f01, g01), seed_negative_screen(minors)):
         if negative:
             assert any(c < 0 for c in seed.terms.values())
 
@@ -262,7 +280,7 @@ def test_screen_falls_back_to_the_exact_seeds(monkeypatch):
         formed.clear()
         assert screened_verdict(a, "I", minors=minors) == verdict
         assert formed == products
-        assert seed_negative_screen(a, minors) == (not products,) * 2
+        assert seed_negative_screen(minors) == (not products,) * 2
     # a float candidate that the exact recheck does not confirm
     monkeypatch.setattr(recursion, "_seed_coefficient", lambda *args: 0)
     formed.clear()

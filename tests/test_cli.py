@@ -1,9 +1,10 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from dstab import cli
+from dstab import certifier, cli
 from dstab.cli import main
 
 OLP_TEXT = """2 -2 1 0 0
@@ -187,6 +188,17 @@ def test_expand_seed_polynomials(capsys, olp_file):
     assert "G(0,1)" in out
 
 
+@pytest.mark.parametrize("depth", ["0", "1", "3"])
+def test_expand_forms_one_seed_product(capsys, olp_file, monkeypatch, depth):
+    formed = []
+    seed_fg = certifier.seed_fg
+    monkeypatch.setattr(certifier, "seed_fg",
+                        lambda *args: formed.append(1) or seed_fg(*args))
+    code, _ = run(capsys, "expand", olp_file, "--depth", depth)
+    assert code == 0
+    assert formed == [1]
+
+
 def test_expand_tree_json(capsys, olp_file):
     code, out = run(capsys, "expand", olp_file, "--depth", "2", "--json")
     assert code == 0
@@ -319,3 +331,19 @@ def test_check_above_the_minor_cap(capsys, tmp_path, sign, code, message):
     assert main(["check", str(p)]) == code
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
+
+
+@pytest.mark.parametrize("entry", ["1e400", "1e307"])
+def test_check_falsifier_on_entries_beyond_the_float_range(capsys, tmp_path,
+                                                           entry):
+    p = tmp_path / "big.txt"
+    p.write_text(f"{entry} 0\n0 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", str(p), "--falsify", "300"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("dstab: error: falsify needs every entry times "
+                            "the largest diagonal 1000 to be finite in "
+                            "float64 (at most 1.79769e+308)\n")

@@ -3,6 +3,7 @@ built from shared Bareiss prefixes, the seed product on the grid
 {0, 1, inf}^(n-1), and one seed coefficient recomputed from the table."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 from dstab.certifier import seed_polys
 from dstab.matrix import Matrix, all_principal_minors, principal_minor
 from dstab.poly import EXP_BITS
-from dstab.recursion import (_integer_table, _seed_coefficient, build_tree,
-                             fg_pair)
+from dstab.recursion import _seed_coefficient, build_tree, fg_pair
 
 INTEGERS = st.integers(-5, 5)
 # mixed denominators within one matrix
@@ -45,12 +45,22 @@ def matrices(draw, lo: int, hi: int):
 @settings(max_examples=150, deadline=None)
 @given(a=matrices(1, 8))
 def test_minor_table_equals_per_subset_determinants(a):
+    """The table holds the integer minors of L*A, for L the lcm of the
+    denominators, and a lookup returns A's own minor."""
     table = all_principal_minors(a)
+    assert table.scale == math.lcm(*(Fraction(x).denominator
+                                     for row in a.rows for x in row))
     assert len(table.values) == 2 ** a.n
     for mask, value in enumerate(table.values):
         alpha = [i + 1 for i in range(a.n) if mask >> i & 1]
-        assert value == principal_minor(a, alpha)
-        assert table[alpha] == value
+        minor = principal_minor(a, alpha)
+        assert type(value) is int
+        assert value == table.scale ** len(alpha) * minor
+        assert table[alpha] == minor
+        if table.scale == 1:   # an integer table builds no Fraction
+            assert type(table[alpha]) is int
+    assert table.items() == [(frozenset(alpha), principal_minor(a, alpha))
+                             for alpha, _ in table.items()]
 
 
 @settings(max_examples=80, deadline=None)
@@ -71,7 +81,9 @@ def test_permuted_table_and_order_sums_match_a_fresh_table(a, data):
     table = all_principal_minors(a)
     perm = data.draw(st.permutations(range(1, a.n + 1)))
     moved = table.permuted(perm)
-    assert moved.values == all_principal_minors(a.permuted(perm)).values
+    fresh = all_principal_minors(a.permuted(perm))
+    assert moved.values == fresh.values
+    assert moved.scale == table.scale == fresh.scale
     sums = [sum(principal_minor(a, alpha)
                 for alpha in itertools.combinations(range(1, a.n + 1), k))
             for k in range(1, a.n + 1)]
@@ -85,10 +97,11 @@ def test_one_seed_coefficient_equals_the_seed_product(a):
     of L*A, is L^(2n-1-|gamma|) times that of F(0,1) + G(0,1)."""
     n, m = a.n, a.n - 1
     f, g = seed_polys(a, minors=all_principal_minors(a))
-    table, _, powers = _integer_table(a, all_principal_minors(a))
+    minors = all_principal_minors(a)
+    table, scale = minors.values, minors.scale
     for flat, exps in enumerate(itertools.product(range(3), repeat=m)):
         # exps holds e_m first, so d_v's digit is the one of 3^(v-1)
         key = sum(e << EXP_BITS * (m - 1 - k) for k, e in enumerate(exps))
         want = (f.terms.get(key, 0) + g.terms.get(key, 0)) \
-            * powers[2 * n - 1 - sum(exps)]
+            * scale ** (2 * n - 1 - sum(exps))
         assert _seed_coefficient(table, m, flat) == want

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dstab import falsifier
 from dstab.falsifier import (CHUNK, GUARD_TOLERANCE, Counterexample,
                              DiagonalSample, _chunk_margins, _np,
                              _offending_eigenvalue, _sample_chunks,
@@ -245,3 +246,21 @@ def test_stacked_eigensolve_failure_falls_back_per_sample(monkeypatch):
     assert falsify(NOT_D_STABLE, trials=2000, seed=1) == \
         per_sample_falsify(NOT_D_STABLE, 2000, 1)
     assert calls["stacked"] >= 3
+
+
+def test_falsify_refuses_entries_beyond_the_float_range(monkeypatch):
+    """An entry whose product with the largest diagonal, max(hi, 1e3),
+    leaves the float range is refused before any sample is drawn."""
+    draws = []
+    sample_chunks = falsifier._sample_chunks
+    monkeypatch.setattr(falsifier, "_sample_chunks",
+                        lambda *args: draws.append(1) or sample_chunks(*args))
+    for big in (10 ** 400, -(10 ** 400), 1e307, 10 ** 306):
+        with pytest.raises(ValueError, match="largest diagonal 1000 "):
+            falsify(Matrix([[big, 0], [0, 1]]), trials=300)
+    with pytest.raises(ValueError, match="largest diagonal 1e\\+06 "):
+        falsify(Matrix([[1e303, 0], [0, 1]]), hi=1e6)
+    assert draws == []
+    # just inside the range the search runs
+    assert falsify(Matrix([[1e303, 0], [0, 1]]), trials=300) is None
+    assert draws == [1]
