@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable,
-                     all_principal_minors, is_positive_stable,
-                     necessary_filter)
+from .matrix import (Matrix, MinorTable, all_principal_minors,
+                     is_positive_stable, necessary_filter)
 from .poly import IDENTICALLY_ZERO, NONNEG_STRICT, Poly
 from .recursion import fg_pair, seed_fg, seed_negative_screen
 
@@ -117,7 +116,7 @@ def seed_polys(a: Matrix, tree=None, *,
         pair = fg_pair(tree["0"], tree["1"])
         return pair.F, pair.G
     if minors is None:
-        minors = all_principal_minors(a, cap=max(a.n, DEFAULT_MINOR_CAP))
+        minors = all_principal_minors(a, cap=a.n)
     return seed_fg(minors)
 
 

@@ -1,11 +1,10 @@
 """Exact rational matrix arithmetic for the stability certification pipeline.
 
-Everything here works over arbitrary-precision rationals: determinants and
-principal minors (fraction-free Bareiss elimination), characteristic
-polynomials (Faddeev-LeVerrier) and a strict Routh-Hurwitz stability
-decision, on the order sums of the minor table or on the characteristic
-polynomial.  Indices in the public API are 1-based, matching the usual
-linear-algebra convention.
+Determinants and principal minors (fraction-free Bareiss elimination),
+characteristic polynomials (Faddeev-LeVerrier) and a strict Routh-Hurwitz
+stability decision.  Each elimination runs on the integer matrix L*A, for L
+the lcm of A's denominators, and divides by a power of L once at the end.
+Indices in the public API are 1-based.
 """
 
 from __future__ import annotations
@@ -102,25 +101,35 @@ class Matrix:
         return Matrix([[self.rows[i][j] for j in idx0] for i in idx0])
 
     def det(self) -> Fraction:
-        return _det_bareiss([list(row) for row in self.rows])
+        return _det_bareiss(self.rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix([{body}])"
 
 
-def _det_bareiss(m: list[list]) -> Fraction:
-    """Fraction-free Bareiss elimination; exact for rational entries.
+def _scaled_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The int rows of L*M and L, the lcm of the entries' denominators."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row
+                       if not isinstance(x, int)))
+    if scale == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (scale // x.denominator) for x in row]
+            for row in rows], scale
 
-    Every interior division is exact, so integer input stays integer
-    (floor division coincides with true division there) and rational input
-    stays rational.
-    """
+
+def _unscale(value: int, scale: int, order: int):
+    """value / scale^order, kept an int when it is integral."""
+    if scale == 1:
+        return value
+    return as_exact(Fraction(value, scale ** order))
+
+
+def _det_bareiss(rows: Sequence[Sequence]) -> Fraction:
+    """Fraction-free Bareiss elimination on the integer matrix L*M, whose
+    interior divisions are all exact; det(M) = det(L*M) / L^n."""
+    m, scale = _scaled_rows(rows)
     n = len(m)
-    int_path = all(isinstance(x, int) for row in m for x in row)
-    if not int_path:
-        # mixed int/Fraction rows would hit float-producing int divisions
-        m = [[Fraction(x) for x in row] for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -137,15 +146,10 @@ def _det_bareiss(m: list[list]) -> Fraction:
             row_i = m[i]
             row_k = m[k]
             mik = row_i[k]
-            if int_path:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - mik * row_k[j]) / prev
-            row_i[k] = 0
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return _unscale(sign * m[n - 1][n - 1], scale, n)
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -221,9 +225,7 @@ class MinorTable:
 
     def unscaled(self, value: int, order: int):
         """A's value of a table quantity of this order: value / L^order."""
-        if self.scale == 1:
-            return value
-        return as_exact(Fraction(value, self.scale ** order))
+        return _unscale(value, self.scale, order)
 
     def __getitem__(self, alpha) -> Fraction:
         mask = index_mask(alpha)
@@ -278,9 +280,7 @@ def all_principal_minors(a: Matrix, cap: int = DEFAULT_MINOR_CAP) -> MinorTable:
     """
     check_minor_cap(a.n, cap)
     n = a.n
-    scale = math.lcm(*(x.denominator for row in a.rows for x in row
-                       if not isinstance(x, int)))
-    rows = [[int(x * scale) for x in row] for row in a.rows]
+    rows, scale = _scaled_rows(a.rows)
     values = [1] * (1 << n)
     _fill_minors(values, rows, 0, rows, list(range(n)), 1)
     return MinorTable(n, values, scale)
@@ -346,22 +346,26 @@ class CharPoly:
 
 
 def char_poly(a: Matrix) -> CharPoly:
-    """Exact characteristic polynomial via Faddeev-LeVerrier."""
+    """Exact characteristic polynomial via Faddeev-LeVerrier on B = L*A.
+
+    det(lambda*I - B) = sum b_k lambda^k has integer coefficients, so the
+    recurrence M <- B*M + b_{n-k}*I, b_{n-k} = -tr(B*M)/k, stays in the
+    integers and divides by k exactly; A's coefficient k is b_k / L^(n-k).
+    """
     n = a.n
-    # p(lambda) = det(lambda*I - A) = lambda^n + b_{n-1} lambda^{n-1} + ... + b_0
+    rows, scale = _scaled_rows(a.rows)
     b = [0] * n
-    m = Matrix.identity(n)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = a @ m
-        trace = sum(am.rows[i][i] for i in range(n))
-        bk = as_exact(Fraction(-trace, k))
-        b[n - k] = bk
-        if k < n:
-            m = Matrix([[am.rows[i][j] + (bk if i == j else 0)
-                         for j in range(n)] for i in range(n)])
-    # det(A - lambda I) = (-1)^n p(lambda)
+        cols = list(zip(*m))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in cols]
+             for row in rows]
+        b[n - k] = bk = -sum(m[i][i] for i in range(n)) // k
+        for i in range(n):
+            m[i][i] += bk
+    # det(A - lambda I) = (-1)^n det(lambda I - A)
     sign = (-1) ** n
-    coeffs = [sign * b[k] for k in range(n)] + [sign]
+    coeffs = [_unscale(sign * b[k], scale, n - k) for k in range(n)] + [sign]
     return CharPoly(tuple(coeffs))
 
 
@@ -385,10 +389,7 @@ def hurwitz_determinants(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """
     n = len(coeffs) - 1
     h = _hurwitz_matrix(coeffs)
-    dets = []
-    for k in range(1, n + 1):
-        dets.append(_det_bareiss([row[:k] for row in h[:k]]))
-    return dets
+    return [_det_bareiss([row[:k] for row in h[:k]]) for k in range(1, n + 1)]
 
 
 def _hurwitz_stable(coeffs: Sequence[Fraction]) -> bool:
@@ -401,8 +402,8 @@ def _hurwitz_stable(coeffs: Sequence[Fraction]) -> bool:
     first: scaling by L > 0 multiplies the k-th minor by L^k.
     """
     n = len(coeffs) - 1
-    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    h = _hurwitz_matrix([int(c * scale) for c in coeffs])
+    (scaled,), _ = _scaled_rows([coeffs])
+    h = _hurwitz_matrix(scaled)
     prev = 1
     for k in range(n):
         row_k = h[k]
@@ -424,8 +425,9 @@ def is_positive_stable(a: Matrix, minors: MinorTable | None = None) -> bool:
     Decided exactly: A is positive stable iff det(lambda*I + A) is Hurwitz
     stable, which is checked with strict Routh-Hurwitz inequalities.  Its
     coefficients are the order sums E_n, ..., E_1, 1 of the minor table
-    when one is given, else (-1)^k times those of ``char_poly``.  Boundary
-    cases (a vanishing Hurwitz determinant) count as not stable.
+    when one is given, else (-1)^k times those of ``char_poly``; both come
+    from integer eliminations on L*A.  Boundary cases (a vanishing Hurwitz
+    determinant) count as not stable.
     """
     if minors is None:
         coeffs = [(-1) ** k * c for k, c in enumerate(char_poly(a).coeffs)]
@@ -441,11 +443,10 @@ def is_positive_stable(a: Matrix, minors: MinorTable | None = None) -> bool:
 # P-matrix classes and the necessary-condition filter
 
 
-def classify_P(a: Matrix, minors: MinorTable | None = None,
-               cap: int = DEFAULT_MINOR_CAP) -> str:
+def classify_P(a: Matrix, minors: MinorTable | None = None) -> str:
     """Strongest applicable class among P, P0_plus, P0, none."""
     if minors is None:
-        minors = all_principal_minors(a, cap=cap)
+        minors = all_principal_minors(a)
     vals = minors.values[1:]   # the signs of A's minors, as L > 0
     if any(v < 0 for v in vals):
         return NO_P_CLASS
@@ -456,14 +457,13 @@ def classify_P(a: Matrix, minors: MinorTable | None = None,
     return P0_CLASS
 
 
-def necessary_filter(a: Matrix, minors: MinorTable | None = None,
-                     cap: int = DEFAULT_MINOR_CAP) -> bool:
+def necessary_filter(a: Matrix, minors: MinorTable | None = None) -> bool:
     """Necessary condition for D-stability of a stable matrix.
 
     A positive D-stable matrix must be a P0+-matrix; returning False is a
     certificate of non-D-stability.
     """
-    return classify_P(a, minors=minors, cap=cap) in (P_CLASS, P0_PLUS_CLASS)
+    return classify_P(a, minors=minors) in (P_CLASS, P0_PLUS_CLASS)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def build_tree(a: Matrix, depth: int | None = None,
     if not 0 <= depth <= n - 1:
         raise ValueError("depth must lie in 0..n-1")
     if minors is None:
-        minors = all_principal_minors(a, cap=max(n, 12))
+        minors = all_principal_minors(a, cap=n)
     nodes: dict[str, DetPair] = {}
     for bits in itertools.product("01", repeat=depth):
         label = "".join(bits)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -97,8 +98,9 @@ def test_det_against_laplace():
     rng = random.Random(17)
     for _ in range(60):
         n = rng.randint(1, 5)
-        a = random_matrix(rng, n, denom=3)
-        assert a.det() == det_laplace([list(r) for r in a.rows])
+        for denom in (3, 12):
+            a = random_matrix(rng, n, denom=denom)
+            assert a.det() == det_laplace([list(r) for r in a.rows])
 
 
 def test_det_singular_and_permutation_sign():
@@ -148,13 +150,15 @@ def test_char_poly_against_sympy():
     lam = sympy.symbols("lam")
     for _ in range(40):
         n = rng.randint(1, 5)
-        a = random_matrix(rng, n, denom=2)
-        cp = char_poly(a)
-        m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in a.rows])
-        ref = (m - lam * sympy.eye(n)).det().expand()
-        for k in range(n + 1):
-            c = sympy.Rational(ref.coeff(lam, k))
-            assert cp.coeffs[k] == Fraction(int(c.p), int(c.q))
+        for denom in (2, 12):
+            a = random_matrix(rng, n, denom=denom)
+            cp = char_poly(a)
+            m = sympy.Matrix([[sympy.Rational(x) for x in row]
+                              for row in a.rows])
+            ref = (m - lam * sympy.eye(n)).det(method="berkowitz").expand()
+            for k in range(n + 1):
+                c = sympy.Rational(ref.coeff(lam, k))
+                assert cp.coeffs[k] == Fraction(int(c.p), int(c.q))
 
 
 def test_char_poly_evaluation():
@@ -190,14 +194,22 @@ def test_stability_against_numpy_eigenvalues():
 @st.composite
 def stability_cases(draw):
     """An integer or rational matrix at n=1..6, its diagonal shifted by a
-    random amount so that stable and unstable draws both occur."""
+    random amount so that stable and unstable draws both occur.  Its rows
+    may then be scaled by exact float diagonals, log-uniform over
+    [1e-3, 1e3], as the falsifier's exact re-check builds D*A: this adds
+    power-of-two denominators of up to 53 significant bits."""
     n = draw(st.integers(1, 6))
     entry = draw(st.sampled_from([
         st.integers(-9, 9),
         st.fractions(-9, 9, max_denominator=12)]))
     shift = draw(st.integers(0, 25))
-    return Matrix([[draw(entry) + (shift if i == j else 0) for j in range(n)]
-                   for i in range(n)])
+    rows = [[draw(entry) + (shift if i == j else 0) for j in range(n)]
+            for i in range(n)]
+    if draw(st.booleans()):
+        d = [math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+             for _ in range(n)]
+        rows = [[Fraction(di) * x for x in row] for di, row in zip(d, rows)]
+    return Matrix(rows)
 
 
 @settings(max_examples=200, deadline=None)
