@@ -8,8 +8,9 @@ The certification surface consists of:
   early stopping (Tests I and II),
 * an optional per-variable quadratic-discriminant refinement for nodes in
   at most two variables,
-* exact constant-coefficient primitives for the quadratic zero-location
-  analysis of the second recursion step.
+* exact constant-coefficient primitives for the second recursion step
+  (the region S, zero location, the Q_0 = P_1 = 0 system), decided by the
+  signs of a quadratic at an interval's ends and its vertex.
 
 All verdicts returned here are sound: Certified is only produced from an
 exact positivity certificate, never from sampling.
@@ -214,11 +215,10 @@ def _certify_branch(poly: Poly, path: str, level: int, n: int, depth: int,
         if trace is not None:
             records.append(NodeRecord(path, level, poly, sign, _STRICT, trace))
             return _STRICT
-    var = collect_variable(n, level)
-    if level >= depth or var < 1:
+    if level >= depth:
         records.append(NodeRecord(path, level, poly, sign, _UNKNOWN))
         return _UNKNOWN
-    c0, c1, c2 = poly.collect(var)
+    c0, c1, c2 = poly.collect(collect_variable(n, level))
     statuses = [
         _certify_branch(c2, "1" + path, level + 1, n, depth, refine, records),
         _certify_branch(c1, "2" + path, level + 1, n, depth, refine, records),
@@ -363,16 +363,6 @@ class Quadratic:
     def __call__(self, d: Fraction) -> Fraction:
         return self.a * d * d + self.b * d + self.c
 
-    @property
-    def discriminant(self) -> Fraction:
-        return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def vertex(self) -> Fraction:
-        if self.a == 0:
-            raise ValueError("linear polynomial has no vertex")
-        return Fraction(-self.b) / (2 * self.a)
-
 
 def make_quadratic(a, b, c) -> Quadratic:
     return Quadratic(Fraction(a), Fraction(b), Fraction(c))
@@ -408,121 +398,58 @@ class IntervalSet:
         return "IntervalSet(" + " U ".join(parts) + ")"
 
 
-EMPTY_SET = IntervalSet(())
-POSITIVE_AXIS = IntervalSet(((Fraction(0), None),))
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _signs(q: Quadratic, lo: Fraction, hi: Optional[Fraction]) -> list[int]:
+    """Signs of q at lo, at its vertex when that lies strictly inside
+    (lo, hi), and at hi; at hi = +inf, the sign of the leading nonzero
+    coefficient.  q is monotone between consecutive points."""
+    signs = [_sign(q(lo))]
+    if q.a:
+        vertex = -q.b / (2 * q.a)
+        if vertex > lo and (hi is None or vertex < hi):
+            signs.append(_sign(q(vertex)))
+    signs.append(_sign(q.a or q.b or q.c) if hi is None else _sign(q(hi)))
+    return signs
 
 
 def region_S(p00, q01, p11, q10) -> IntervalSet:
     """The admissible region S = (0, inf) intersected with
     {(-d*Q01 + P11) * (d*P00 + Q10) > 0}, for constant inputs.
 
-    Both factors are linear with rational roots, so S is a union of at most
-    two open intervals with rational endpoints.
+    The positive rational roots of the two linear factors cut (0, inf)
+    into at most three pieces, on each of which the product keeps one
+    sign; a piece belongs to S when the product is positive at its
+    midpoint (at the last root + 1 for the unbounded piece).
     """
     p00, q01 = Fraction(p00), Fraction(q01)
     p11, q10 = Fraction(p11), Fraction(q10)
-
-    if q01 == 0 and p00 == 0:
-        # constant product
-        return POSITIVE_AXIS if p11 * q10 > 0 else EMPTY_SET
-    if q01 == 0:
-        # product = P11 * (P00*d + Q10)
-        if p11 == 0:
-            return EMPTY_SET
-        root = -q10 / p00
-        return _halfline(root, positive_above=(p11 * p00 > 0))
-    if p00 == 0:
-        # product = Q10 * (-Q01*d + P11)
-        if q10 == 0:
-            return EMPTY_SET
-        root = p11 / q01
-        return _halfline(root, positive_above=(q10 * q01 < 0))
-    r1 = p11 / q01
-    r2 = -q10 / p00
-    lead = -q01 * p00
-    m, big = min(r1, r2), max(r1, r2)
-    if lead > 0:
-        # positive outside [m, M]
-        if m == big:
-            if m <= 0:
-                return POSITIVE_AXIS
-            return IntervalSet(((Fraction(0), m), (m, None)))
-        pieces = []
-        if m > 0:
-            pieces.append((Fraction(0), m))
-        pieces.append((max(big, Fraction(0)), None))
-        return IntervalSet(tuple(pieces))
-    # lead < 0: positive strictly between the roots
-    lo = max(m, Fraction(0))
-    if m == big or big <= lo:
-        return EMPTY_SET
-    return IntervalSet(((lo, big),))
-
-
-def _halfline(root: Fraction, positive_above: bool) -> IntervalSet:
-    if positive_above:
-        return IntervalSet(((max(root, Fraction(0)), None),))
-    if root <= 0:
-        return EMPTY_SET
-    return IntervalSet(((Fraction(0), root),))
-
-
-def _cmp_sqrt(disc: Fraction, u: Fraction) -> int:
-    """Sign of sqrt(disc) - u for disc >= 0, exactly."""
-    if u < 0:
-        return 1
-    u2 = u * u
-    if disc > u2:
-        return 1
-    if disc < u2:
-        return -1
-    return 0
-
-
-def _cmp_root(a: Fraction, b: Fraction, disc: Fraction, sgn: int,
-              t: Fraction) -> int:
-    """Sign of (-b + sgn*sqrt(disc)) / (2a) - t, exactly (disc >= 0)."""
-    u = 2 * a * t + b
-    if sgn > 0:
-        diff = _cmp_sqrt(disc, u)               # sign(sqrt(disc) - u)
-    else:
-        # sign(-sqrt(disc) - u) = -sign(sqrt(disc) + u)
-        diff = -1 if u > 0 else -_cmp_sqrt(disc, -u)
-    return diff if a > 0 else -diff
-
-
-def _root_in_open(a: Fraction, b: Fraction, sgn: int,
-                  lo: Fraction, hi: Optional[Fraction], disc: Fraction) -> bool:
-    """Is (-b + sgn*sqrt(disc)) / (2a) inside the open interval (lo, hi)?"""
-    if _cmp_root(a, b, disc, sgn, lo) <= 0:
-        return False
-    return hi is None or _cmp_root(a, b, disc, sgn, hi) < 0
+    roots = {p11 / q01 if q01 else 0, -q10 / p00 if p00 else 0}
+    ends = [Fraction(0), *sorted(r for r in roots if r > 0), None]
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        d = lo + 1 if hi is None else (lo + hi) / 2
+        if (-d * q01 + p11) * (d * p00 + q10) > 0:
+            pieces.append((lo, hi))
+    return IntervalSet(tuple(pieces))
 
 
 def quadratic_zero_location(q: Quadratic, region: IntervalSet) -> bool:
     """True iff q has no real root inside the open region, exactly.
 
-    Degenerate cases follow the classical analysis: a linear polynomial has
-    one rational root; an identically zero polynomial vanishes everywhere,
-    so any nonempty region contains a zero.
+    q vanishes inside (lo, hi) exactly when it is zero at its vertex (the
+    one inner point of ``_signs``) or changes sign strictly between two
+    consecutive points; an identically zero q vanishes on any nonempty
+    region.
     """
-    if region.is_empty():
-        return True
-    if q.a == 0:
-        if q.b == 0:
-            if q.c == 0:
-                return False  # identically zero on a nonempty region
-            return True
-        return not region.contains(Fraction(-q.c) / q.b)
-    disc = q.discriminant
-    if disc < 0:
-        return True
-    if disc == 0:
-        return not region.contains(q.vertex)
+    if not (q.a or q.b or q.c):
+        return region.is_empty()
     for lo, hi in region.intervals:
-        for sgn in (1, -1):
-            if _root_in_open(q.a, q.b, sgn, lo, hi, disc):
-                return False
+        s = _signs(q, lo, hi)
+        if 0 in s[1:-1] or any(x * y < 0 for x, y in zip(s, s[1:])):
+            return False
     return True
 
 
@@ -536,22 +463,6 @@ def step2_nondegenerate(f0001, gterm, f1011, p00, q01, p11, q10) -> bool:
     return quadratic_zero_location(q, region_S(p00, q01, p11, q10))
 
 
-def _negative_somewhere_positive(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    """Does a*d^2 + b*d + c take a negative value for some d > 0?"""
-    if a < 0:
-        return True
-    if a == 0:
-        if b < 0:
-            return True
-        if b == 0:
-            return c < 0
-        return c < 0
-    vertex = Fraction(-b) / (2 * a)
-    if vertex > 0:
-        return b * b - 4 * a * c > 0
-    return c < 0
-
-
 def step2_Q0_system(p00, q00, p10, q10, p01, q01, p11, q11) -> bool:
     """True iff the Q_0 = P_1 = 0 branch system has no positive solution.
 
@@ -560,40 +471,26 @@ def step2_Q0_system(p00, q00, p10, q10, p01, q01, p11, q11) -> bool:
         d*P00 + Q10 = 0;  -d*Q01 + P11 = 0;
         (-d*Q00 + P10) * (d*P01 + Q11) < 0.
 
-    Solvability follows the closed-form analysis: when the two linear
-    equations pin d down, the unique candidate is
-    d = (P11*Q01 - P00*Q10) / (P00^2 + Q01^2).  When both equations vanish
-    identically (P00 = Q01 = 0 forces Q10 = P11 = 0), the inequality alone
-    decides.
+    When P00^2 + Q01^2 > 0 the two linear equations pin d down, and the
+    only candidate is d = (P11*Q01 - P00*Q10) / (P00^2 + Q01^2).  When it
+    is 0, the equations hold for every d only if Q10 = P11 = 0, and then
+    the inequality alone decides: the product is negative somewhere on
+    (0, inf) exactly when one of its ``_signs`` on [0, inf) is negative.
     """
     p00, q00 = Fraction(p00), Fraction(q00)
     p10, q10 = Fraction(p10), Fraction(q10)
     p01, q01 = Fraction(p01), Fraction(q01)
     p11, q11 = Fraction(p11), Fraction(q11)
 
-    if p00 == 0 and q01 == 0:
-        if q10 != 0 or p11 != 0:
+    norm = p00 * p00 + q01 * q01
+    if norm == 0:
+        if q10 or p11:
             return True
-        # both equations vanish identically; product must be negative for
-        # some positive d
-        a = -q00 * p01
-        b = p10 * p01 - q00 * q11
-        c = p10 * q11
-        return not _negative_somewhere_positive(a, b, c)
-    if p00 != 0:
-        has_solution = (
-            p00 * p11 + q10 * q01 == 0
-            and p11 * q01 - p00 * q10 > 0
-            and (p10 * p00 + q10 * q00) * (p00 * q11 - q10 * p01) < 0
-        )
-        return not has_solution
-    # P00 = 0, Q01 != 0: the first equation forces Q10 = 0
-    has_solution = (
-        q10 == 0
-        and p11 * q01 > 0
-        and (p10 * q01 - p11 * q00) * (p11 * p01 + q11 * q01) < 0
-    )
-    return not has_solution
+        q = Quadratic(-q00 * p01, p10 * p01 - q00 * q11, p10 * q11)
+        return -1 not in _signs(q, Fraction(0), None)
+    d = (p11 * q01 - p00 * q10) / norm
+    return not (d > 0 and d * p00 + q10 == 0 and -d * q01 + p11 == 0
+                and (-d * q00 + p10) * (d * p01 + q11) < 0)
 
 
 def degenerate_step2(f00, f01, f10, f11, f0010, f0111, g0010, g0111) -> bool:

@@ -381,6 +381,14 @@ def test_region_shapes():
     assert region.contains(Fraction(2))
     assert not region.contains(Fraction(4))
     assert not region.contains(Fraction(1, 2))
+    # tangent: a double positive root splits the axis and is excluded
+    region = region_S(1, -1, -2, -2)  # (d - 2)^2
+    assert region.intervals == ((0, 2), (2, None))
+    assert not region.contains(Fraction(2))
+    # roots at or below 0 do not cut the axis
+    assert region_S(1, -1, 1, 1).intervals == ((0, None),)   # (d + 1)^2
+    assert region_S(1, 0, 1, 0).intervals == ((0, None),)    # d
+    assert region_S(1, 1, 3, 1).intervals == ((0, 3),)       # (3 - d)(d + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +420,23 @@ def test_zero_location_fuzz():
         region = region_S(*vals)
         assert quadratic_zero_location(q, region) == \
             (not sympy_has_root_in(q, region))
+    # roots or vertex exactly on the region's endpoints or at an inner
+    # point (double roots included), where a zero at an inner point and a
+    # strict sign change must be told apart
+    for _ in range(150):
+        vals = [_frac(rng) if rng.random() > 0.3 else Fraction(0)
+                for _ in range(4)]
+        region = region_S(*vals)
+        points = [Fraction(0)]
+        for lo, hi in region.intervals:
+            points += [lo, lo + 1] if hi is None else [lo, (lo + hi) / 2, hi]
+        r1 = rng.choice(points)
+        r2 = rng.choice(points + [r1, _frac(rng)])
+        k = _frac(rng) or Fraction(1)
+        for q in (make_quadratic(k, -k * (r1 + r2), k * r1 * r2),
+                  make_quadratic(k, -2 * k * r1, _frac(rng))):
+            assert quadratic_zero_location(q, region) == \
+                (not sympy_has_root_in(q, region)), (q, region)
 
 
 def test_zero_location_degenerate_cases():
@@ -486,6 +511,14 @@ def test_q0_system_hand_cases():
     assert step2_Q0_system(1, 0, 1, -1, 1, 1, 1, 1)
     # inconsistent equations
     assert step2_Q0_system(1, 0, 0, 1, 0, 0, 1, 0)
+    # both equations vanish (P00 = Q01 = Q10 = P11 = 0): the product
+    # (-d*Q00 + P10)(d*P01 + Q11) alone decides
+    # (d - 1)(d - 3) is negative only between its roots, at the vertex
+    assert not step2_Q0_system(0, -1, -1, 0, 1, 0, 0, -3)
+    # (d - 2)^2 touches zero at d = 2 but is never negative
+    assert step2_Q0_system(0, -1, -2, 0, 1, 0, 0, -2)
+    # (1 - d)(d + 1) is negative as d -> inf
+    assert not step2_Q0_system(0, 1, 1, 0, 1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
