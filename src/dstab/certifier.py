@@ -258,7 +258,9 @@ def hierarchy_depths(n: int, which: str,
     top = max(n - 2, 0)
     if depth is None:
         depth = top
-    if depth != "auto" and depth not in range(top + 1):
+    # type(...) is int refuses a bool and a float that equals an int
+    if depth != "auto" and (type(depth) is not int
+                            or depth not in range(top + 1)):
         raise ValueError(f"depth must be 'auto' or an integer in 0..{top}")
     if which not in ("I", "II", "both"):
         raise ValueError("which must be 'I', 'II' or 'both'")
@@ -507,24 +509,16 @@ def degenerate_step2(f00, f01, f10, f11, f0010, f0111, g0010, g0111) -> bool:
     solvable only at its vertex, and only when the cross term F(a,b)
     vanishes.
     """
-    def solution_set(fa, gab, fb, fab):
+    def solutions(fa, gab, fb, fab):
+        """The d solving F_a*d^2 + 2*G(a,b)*d + F_b = 0: None when every d
+        does, else a set of at most one point, the vertex."""
         fa, gab = Fraction(fa), Fraction(gab)
-        fb, fab = Fraction(fb), Fraction(fab)
         if fa != 0:
-            if fab == 0 and gab < 0:
-                return ("point", Fraction(-gab) / fa)
-            return ("empty", None)
+            return {-gab / fa} if fab == 0 and gab < 0 else set()
         # degenerate leading coefficient: F_s is the constant F_b
-        return ("all", None) if fb == 0 else ("empty", None)
+        return None if fb == 0 else set()
 
-    s0 = solution_set(f00, g0010, f10, f0010)
-    s1 = solution_set(f01, g0111, f11, f0111)
-    kinds = (s0[0], s1[0])
-    if "empty" in kinds:
-        return True
-    if kinds == ("all", "all"):
-        return False
-    if s0[0] == "point" and s1[0] == "point":
-        return s0[1] != s1[1]
-    # one pinned point, the other any positive d
-    return False
+    # None stands for every d, so it drops out of the intersection
+    sets = [s for s in (solutions(f00, g0010, f10, f0010),
+                        solutions(f01, g0111, f11, f0111)) if s is not None]
+    return bool(sets) and not set.intersection(*sets)

@@ -58,9 +58,9 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
     """
     cfg = cfg or RunConfig()
     for name in ("permutations", "falsify_trials"):
-        if getattr(cfg, name) < 0:
-            raise ValueError(f"{name} must be nonnegative, "
-                             f"got {getattr(cfg, name)}")
+        count = getattr(cfg, name)
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count!r}")
     hierarchy_depths(a.n, cfg.test, cfg.depth)   # refuses a bad depth or test
     if a.n == 1:
         return one_by_one_report(a, cfg.test)
@@ -265,14 +265,14 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         raise ValueError(f"n must be at least 1, got {n}")
     for name, count in (("trials", trials),
                         ("falsify_trials", falsify_trials)):
-        if count < 0:
-            raise ValueError(f"{name} must be nonnegative, got {count}")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count!r}")
     if isinstance(style, str):
         style = GeneratorStyle.parse(style)
     top = max(n - 2, 0)
     if depth is None:
         depth = top
-    elif depth not in range(top + 1):
+    elif type(depth) is not int or depth not in range(top + 1):
         raise ValueError(f"depth must be an integer in 0..{top}, got {depth!r}")
     hierarchy_depths(n, test, depth)   # refuses a bad test
     check_minor_cap(n, minor_cap)

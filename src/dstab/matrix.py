@@ -2,8 +2,9 @@
 
 Determinants and principal minors (fraction-free Bareiss elimination),
 characteristic polynomials (Faddeev-LeVerrier) and a strict Routh-Hurwitz
-stability decision.  Each elimination runs on the integer matrix L*A, for L
-the lcm of A's denominators, and divides by a power of L once at the end.
+stability decision (the fraction-free Routh array), all on one elimination
+step.  Each elimination runs on the integer matrix L*A, for L the lcm of
+A's denominators, and divides by a power of L once at the end.
 Indices in the public API are 1-based.
 """
 
@@ -125,31 +126,35 @@ def _unscale(value: int, scale: int, order: int):
     return as_exact(Fraction(value, scale ** order))
 
 
+def _bareiss_step(block: list[list[int]], c: int, prev: int) -> list:
+    """One fraction-free elimination step on the pivot (c, c) of an integer
+    block: the block below and to the right of the pivot, with entries
+    (pivot*x - left*y) // prev.  When ``prev`` is the previous pivot, each
+    entry is a bordered minor, so the division is exact (Sylvester)."""
+    pivot = block[c][c]
+    head = block[c][c + 1:]
+    out = []
+    for row in block[c + 1:]:
+        left = row[c]
+        out.append([(pivot * x - left * y) // prev
+                    for x, y in zip(row[c + 1:], head)])
+    return out
+
+
 def _det_bareiss(rows: Sequence[Sequence]) -> Fraction:
-    """Fraction-free Bareiss elimination on the integer matrix L*M, whose
-    interior divisions are all exact; det(M) = det(L*M) / L^n."""
+    """Bareiss elimination of the integer matrix L*M by ``_bareiss_step``,
+    exchanging rows at a zero pivot; det(M) = det(L*M) / L^n."""
     m, scale = _scaled_rows(rows)
     n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
+    sign, prev = 1, 1
+    while len(m) > 1:
+        if m[0][0] == 0:
+            r = next((r for r, row in enumerate(m) if row[0] != 0), None)
+            if r is None:
                 return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-        prev = pivot
-    return _unscale(sign * m[n - 1][n - 1], scale, n)
+            m[0], m[r], sign = m[r], m[0], -sign
+        prev, m = m[0][0], _bareiss_step(m, 0, prev)
+    return _unscale(sign * m[0][0], scale, n)
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -295,9 +300,9 @@ def _fill_minors(values: list, rows: list[list[int]], mask: int,
     ``rows``: its entry (p, q) is the determinant of rows mask + idx[p] by
     columns mask + idx[q], and ``prev`` is the minor on ``mask``.  By
     Sylvester's identity the diagonal entry (c, c) is the minor on
-    mask + idx[c], and one Bareiss step with that pivot (every division
-    exact) gives the block of the child.  A zero pivot cannot divide, so
-    that child's subtree is filled by direct elimination.
+    mask + idx[c], and ``_bareiss_step`` on that pivot gives the block of
+    the child.  A zero pivot cannot divide, so that child's subtree is
+    filled by direct elimination.
     """
     for c, j in enumerate(idx):
         pivot = block[c][c]
@@ -309,13 +314,8 @@ def _fill_minors(values: list, rows: list[list[int]], mask: int,
         if pivot == 0:
             _fill_direct(values, rows, child, rest)
             continue
-        head = block[c][c + 1:]
-        sub = []
-        for row in block[c + 1:]:
-            left = row[c]
-            sub.append([(pivot * x - left * y) // prev
-                        for x, y in zip(row[c + 1:], head)])
-        _fill_minors(values, rows, child, sub, rest, pivot)
+        _fill_minors(values, rows, child, _bareiss_step(block, c, prev),
+                     rest, pivot)
 
 
 def _fill_direct(values: list, rows: list[list[int]], mask: int,
@@ -393,29 +393,23 @@ def hurwitz_determinants(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _hurwitz_stable(coeffs: Sequence[Fraction]) -> bool:
-    """True iff every leading principal minor of the Hurwitz matrix is
-    positive, decided in one fraction-free elimination.
-
-    Bareiss elimination without row exchanges leaves the k-th leading minor
-    as its k-th pivot, so the first nonpositive pivot decides, and no
-    later minor is formed.  Rational coefficients are scaled to integers
-    first: scaling by L > 0 multiplies the k-th minor by L^k.
-    """
-    n = len(coeffs) - 1
+    """True iff every Hurwitz determinant D_k of a_n x^n + ... + a_0, for
+    a_n > 0, is positive, decided by the fraction-free Routh array:
+    R_0 = (a_n, a_{n-2}, ...), R_1 = (a_{n-1}, a_{n-3}, ...), and R_{k+1} is
+    ``_bareiss_step`` on [R_k, zero-padded to the length of R_{k-1}; R_{k-1}]
+    over D_{k-2} (D_{-1} = D_0 = 1).  Each of the n nonempty rows R_k leads
+    with D_k, so the first nonpositive lead decides.  Scaling the
+    coefficients to integers by L > 0 multiplies D_k by L^k."""
     (scaled,), _ = _scaled_rows([coeffs])
-    h = _hurwitz_matrix(scaled)
-    prev = 1
-    for k in range(n):
-        row_k = h[k]
-        pivot = row_k[k]
-        if pivot <= 0:
+    high = scaled[::-1]
+    above, row = high[0::2], high[1::2]
+    before, last = 1, 1                  # D_{k-2}, D_{k-1}
+    while row:
+        if row[0] <= 0:
             return False
-        for row_i in h[k + 1:]:
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                # every division is exact (Sylvester's identity)
-                row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-        prev = pivot
+        padded = row + [0] * (len(above) - len(row))
+        (below,) = _bareiss_step([padded, above], 0, before)
+        above, row, before, last = row, below, last, row[0]
     return True
 
 
@@ -423,19 +417,16 @@ def is_positive_stable(a: Matrix, minors: MinorTable | None = None) -> bool:
     """True iff every eigenvalue of A has strictly positive real part.
 
     Decided exactly: A is positive stable iff det(lambda*I + A) is Hurwitz
-    stable, which is checked with strict Routh-Hurwitz inequalities.  Its
-    coefficients are the order sums E_n, ..., E_1, 1 of the minor table
-    when one is given, else (-1)^k times those of ``char_poly``; both come
-    from integer eliminations on L*A.  Boundary cases (a vanishing Hurwitz
-    determinant) count as not stable.
+    stable, which the fraction-free Routh array on ``_bareiss_step`` decides
+    with strict inequalities.  Its coefficients are the order sums E_n, ...,
+    E_1, 1 of the minor table when one is given, else (-1)^k times those of
+    ``char_poly``; both come from integer eliminations on L*A.  Boundary
+    cases (a vanishing Hurwitz determinant) count as not stable.
     """
     if minors is None:
         coeffs = [(-1) ** k * c for k, c in enumerate(char_poly(a).coeffs)]
     else:
         coeffs = [*reversed(minors.order_sums()), 1]
-    # A Hurwitz-stable polynomial has all coefficients positive; cheap filter.
-    if any(c <= 0 for c in coeffs):
-        return False
     return _hurwitz_stable(coeffs)
 
 

@@ -54,6 +54,12 @@ def test_pipeline_identity_uses_step1():
 def test_pipeline_depth_validation():
     with pytest.raises(ValueError):
         check_matrix(OLP, RunConfig(depth=9))
+    # a bool or a float is refused although it equals a valid depth
+    for depth in (True, 1.0):
+        with pytest.raises(ValueError, match=r"depth must be .* 0\.\.3"):
+            check_matrix(OLP, RunConfig(depth=depth))
+        with pytest.raises(ValueError, match=r"depth must be .* 0\.\.3"):
+            certifier.test_hierarchy(OLP, depth=depth)
     # depth and test are checked before any stage: step 1 certifies the
     # first matrix and stability rejects the second
     for text in ("2 1\n1 2", "0 1\n-1 0"):
@@ -260,6 +266,13 @@ def test_experiment_refuses_negative_counts():
     for kwargs in ({"trials": -1}, {"trials": 0, "falsify_trials": -5}):
         with pytest.raises(ValueError, match="must be nonnegative, got -"):
             run_experiment(3, **kwargs)
+    # a non-int count is refused before the first trial
+    for name, count in (("trials", 2.0), ("trials", True),
+                        ("falsify_trials", 1.5), ("falsify_trials", False)):
+        kwargs = {"trials": 3, name: count}
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative, "
+                                             f"got {count!r}"):
+            run_experiment(3, **kwargs)
 
 
 def test_experiment_refuses_a_bad_dimension_or_test_before_any_trial():
@@ -277,6 +290,9 @@ def test_experiment_checks_depth_before_any_trial():
     for n, trials in ((3, 0), (1, 3)):
         with pytest.raises(ValueError, match=r"integer in 0\.\.%d" % max(n - 2, 0)):
             run_experiment(n, trials, depth=9)
+    for depth in (True, 1.0):
+        with pytest.raises(ValueError, match=r"integer in 0\.\.2"):
+            run_experiment(4, 3, depth=depth)
     with pytest.raises(ValueError):
         run_experiment(4, 0, depth=-1)
     assert run_experiment(4, 0, depth=2).depth == 2
@@ -284,10 +300,11 @@ def test_experiment_checks_depth_before_any_trial():
 
 def test_check_refuses_negative_counts():
     for field_name in ("permutations", "falsify_trials"):
-        with pytest.raises(ValueError, match=field_name):
-            check_matrix(OLP, RunConfig(**{field_name: -1}))
-        with pytest.raises(ValueError, match=field_name):
-            check_matrix(Matrix([[1]]), RunConfig(**{field_name: -1}))
+        for count in (-1, 2.0, True):
+            with pytest.raises(ValueError, match=field_name):
+                check_matrix(OLP, RunConfig(**{field_name: count}))
+            with pytest.raises(ValueError, match=field_name):
+                check_matrix(Matrix([[1]]), RunConfig(**{field_name: count}))
 
 
 def test_experiment_2x2_dominant_is_mostly_certified():

@@ -101,6 +101,18 @@ def test_det_against_laplace():
         for denom in (3, 12):
             a = random_matrix(rng, n, denom=denom)
             assert a.det() == det_laplace([list(r) for r in a.rows])
+    # zero pivots after the first step: the elimination exchanges rows
+    # mid-loop on permutations times a diagonal and on 0/+-1 matrices
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        perm = rng.sample(range(n), n)
+        diag = [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                for _ in range(n)]
+        signs = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)]
+                 for _ in range(n)]
+        for rows in ([[diag[i] * (j == perm[i]) for j in range(n)]
+                      for i in range(n)], signs):
+            assert Matrix(rows).det() == det_laplace(rows)
 
 
 def test_det_singular_and_permutation_sign():
@@ -224,14 +236,15 @@ def test_stability_from_order_sums_matches_char_poly(a):
 
 @st.composite
 def hurwitz_cases(draw):
-    """Coefficients, lowest degree first, of a product of factors x + r and
-    x^2 + b*x + c with small integer or rational r, b, c.  A zero r or b
-    puts a root on the imaginary axis and a Hurwitz minor at zero."""
+    """Coefficients, lowest degree first, of a product of up to six factors
+    x + r and x^2 + b*x + c with small integer or rational r, b, c, so up
+    to degree 12 (the minor cap).  A zero r or b puts a root on the
+    imaginary axis and a Hurwitz minor at zero."""
     number = draw(st.sampled_from([
         st.integers(-3, 4),
         st.fractions(-3, 4, max_denominator=6)]))
     coeffs = [draw(st.sampled_from([1, 2, Fraction(1, 3)]))]
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
             factor = [draw(number), 1]
         else:
@@ -262,6 +275,10 @@ def test_one_pass_routh_hurwitz_boundary_cases():
         assert 0 in hurwitz_determinants(coeffs)
         assert not _hurwitz_stable(coeffs)
     assert _hurwitz_stable([2, 3, 1])
+    # x^3 + 3x^2 + x + 1: D_3 = 2 lies below D_1 = 3, so dividing the
+    # Routh array by D_{k-1} in place of D_{k-2} truncates its last lead to 0
+    assert hurwitz_determinants([1, 1, 3, 1]) == [3, 2, 2]
+    assert _hurwitz_stable([1, 1, 3, 1])
     assert _hurwitz_stable([Fraction(1, 6), Fraction(5, 6), Fraction(1)])
 
 
