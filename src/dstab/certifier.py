@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .matrix import (Matrix, MinorTable, all_principal_minors,
+from .matrix import (Matrix, MinorTable, _checked_int, all_principal_minors,
                      is_positive_stable, necessary_filter)
 from .poly import IDENTICALLY_ZERO, NONNEG_STRICT, Poly
 from .recursion import fg_pair, seed_fg, seed_negative_screen
@@ -150,8 +150,7 @@ def coeff_tree(a: Matrix, seed: str = "F01", depth: int = 0, *,
     """The coefficient tree of ``seed`` to ``depth`` levels; the seeds are
     ``seeds`` when given, else ``seed_polys(a)``."""
     n = a.n
-    if not 0 <= depth <= n - 2:
-        raise ValueError("depth must lie in 0..n-2")
+    _checked_int(depth, "depth must lie in 0..n-2", 0, n - 2)
     if seed not in ("F01", "G01"):
         raise ValueError("seed must be 'F01' or 'G01'")
     f01, g01 = seeds if seeds is not None else seed_polys(a)
@@ -253,15 +252,14 @@ def one_by_one_report(a: Matrix, which: str) -> TestReport:
 
 
 def hierarchy_depths(n: int, which: str,
-                     depth: int | str | None) -> range | list[int]:
+                     depth: int | str | None = "auto") -> range | list[int]:
     """The depths ``test_hierarchy`` walks; refuses a bad depth or seed."""
     top = max(n - 2, 0)
     if depth is None:
         depth = top
-    # type(...) is int refuses a bool and a float that equals an int
-    if depth != "auto" and (type(depth) is not int
-                            or depth not in range(top + 1)):
-        raise ValueError(f"depth must be 'auto' or an integer in 0..{top}")
+    if depth != "auto":
+        _checked_int(depth, f"depth must be 'auto' or an integer in 0..{top}",
+                     0, top)
     if which not in ("I", "II", "both"):
         raise ValueError("which must be 'I', 'II' or 'both'")
     return range(top + 1) if depth == "auto" else [depth]
@@ -322,7 +320,7 @@ def screened_verdict(a: Matrix, which: str = "I", *,
     somewhere needs no exact product; otherwise the seeds are formed
     exactly and their sign class decides, so Certified rests on them alone.
     """
-    hierarchy_depths(a.n, which, None)   # refuses a bad seed
+    hierarchy_depths(a.n, which)   # refuses a bad seed
     tests = {"I": (0,), "II": (1,), "both": (0, 1)}[which]
     negative = seed_negative_screen(minors)
     if all(negative[t] for t in tests):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matrix import Matrix, is_positive_stable, det_complex
+from .matrix import Matrix, _checked_int, det_complex, is_positive_stable
 
 GUARD_TOLERANCE = 1e-9
 # samples per stacked eigensolve in falsify
@@ -189,10 +189,8 @@ def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
     find the witness of ``falsify(a, n, seed)``.  A matrix with an entry
     that times max(hi, 1e3) leaves the float range is refused (ValueError).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if start < 0:
-        raise ValueError("start must be >= 0")
+    _checked_int(trials, "trials must be >= 1", 1)
+    _checked_int(start, "start must be >= 0", 0)
     if not (0 < lo < hi and isfinite(hi)):
         raise ValueError("need finite 0 < lo < hi")
     # the probes reach 1e3, so no sampled D*A has an entry beyond top*|A|

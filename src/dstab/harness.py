@@ -15,7 +15,7 @@ from .certifier import (CERTIFIED, FAILED_NECESSARY, FALSIFIED, INCONCLUSIVE,
                         one_by_one_report, screened_verdict, step1_sufficient,
                         test_hierarchy)
 from .falsifier import falsify, first_stage_trials, stable_seed
-from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable,
+from .matrix import (DEFAULT_MINOR_CAP, Matrix, MinorTable, _checked_int,
                      all_principal_minors, check_minor_cap,
                      is_positive_stable, necessary_filter)
 # called by name only from the benchmark's traced replica (perfbench)
@@ -59,8 +59,9 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
     cfg = cfg or RunConfig()
     for name in ("permutations", "falsify_trials"):
         count = getattr(cfg, name)
-        if type(count) is not int or count < 0:
-            raise ValueError(f"{name} must be nonnegative, got {count!r}")
+        _checked_int(count, f"{name} must be nonnegative, got {count!r}", 0)
+    _checked_int(cfg.minor_cap,
+                 f"minor_cap must be an integer, got {cfg.minor_cap!r}")
     hierarchy_depths(a.n, cfg.test, cfg.depth)   # refuses a bad depth or test
     if a.n == 1:
         return one_by_one_report(a, cfg.test)
@@ -174,11 +175,11 @@ def random_stable_matrix(n: int, seed: int,
     Deterministic in (n, seed, style); entries are exact rationals with at
     most two decimal places.
     """
+    check_minor_cap(_checked_int(n, "matrix must have dimension >= 1", 1))
     return _stable_draw(n, seed, style)[0].scale(Fraction(1, 100))
 
 
-def _stable_draw(n: int, seed: int, style: GeneratorStyle | str,
-                 minor_cap: int = DEFAULT_MINOR_CAP
+def _stable_draw(n: int, seed: int, style: GeneratorStyle | str
                  ) -> tuple[Matrix, MinorTable]:
     """100 times the matrix of ``random_stable_matrix``, and its minor table.
 
@@ -186,7 +187,6 @@ def _stable_draw(n: int, seed: int, style: GeneratorStyle | str,
     read as an int of hundredths.  Stability is scale-invariant, so each
     draw is decided from its integer matrix's table.
     """
-    check_minor_cap(n, minor_cap)
     if isinstance(style, str):
         style = GeneratorStyle.parse(style)
     rng = random.Random(stable_seed("dstab-gen", n, seed))
@@ -196,7 +196,7 @@ def _stable_draw(n: int, seed: int, style: GeneratorStyle | str,
         a = Matrix([[int(f"{rng.uniform(*bounds[i == j]):.2f}"
                          .replace(".", "")) for j in range(n)]
                     for i in range(n)])
-        minors = all_principal_minors(a, cap=minor_cap)
+        minors = all_principal_minors(a, cap=n)
         if is_positive_stable(a, minors):
             return a, minors
     raise ValueError(f"no positive-stable {n}x{n} matrix in {MAX_ATTEMPTS} "
@@ -261,20 +261,17 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
     trial's verdict does not depend on ``depth`` (see ``screened_verdict``),
     and no coefficient tree is walked.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _checked_int(n, f"n must be at least 1, got {n!r}", 1)
     for name, count in (("trials", trials),
                         ("falsify_trials", falsify_trials)):
-        if type(count) is not int or count < 0:
-            raise ValueError(f"{name} must be nonnegative, got {count!r}")
+        _checked_int(count, f"{name} must be nonnegative, got {count!r}", 0)
     if isinstance(style, str):
         style = GeneratorStyle.parse(style)
     top = max(n - 2, 0)
-    if depth is None:
-        depth = top
-    elif type(depth) is not int or depth not in range(top + 1):
-        raise ValueError(f"depth must be an integer in 0..{top}, got {depth!r}")
-    hierarchy_depths(n, test, depth)   # refuses a bad test
+    depth = _checked_int(top if depth is None else depth,
+                         f"depth must be an integer in 0..{top}, got {depth!r}",
+                         0, top)
+    hierarchy_depths(n, test)   # refuses a bad test
     check_minor_cap(n, minor_cap)
     counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED_NECESSARY: 0, FALSIFIED: 0}
     first = min(falsify_trials, first_stage_trials(n))
@@ -283,7 +280,7 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         trial_seed = stable_seed(seed, t)
         # Every verdict below is invariant under positive scaling, and
         # integer entries make the exact arithmetic much cheaper.
-        a, minors = _stable_draw(n, trial_seed, style, minor_cap)
+        a, minors = _stable_draw(n, trial_seed, style)
         if n == 1:
             counts[one_by_one_report(a, test).verdict] += 1
             continue

@@ -30,6 +30,14 @@ class MinorCapExceeded(RuntimeError):
     """Raised when a full minor enumeration would exceed the dimension cap."""
 
 
+def _checked_int(value, message: str, lo=-math.inf, hi=math.inf) -> int:
+    """``value`` if it is an int, not a bool, in lo..hi, else
+    ValueError(message): the check of every public integer argument."""
+    if type(value) is not int or not lo <= value <= hi:
+        raise ValueError(message)
+    return value
+
+
 class Matrix:
     """Dense square matrix of exact rationals.
 
@@ -271,7 +279,7 @@ class MinorTable:
 
 
 def check_minor_cap(n: int, cap: int = DEFAULT_MINOR_CAP) -> None:
-    if n > cap:
+    if n > _checked_int(cap, f"minor cap must be an integer, got {cap!r}"):
         raise MinorCapExceeded(
             f"minor enumeration needs 2^{n} determinants; cap is n <= {cap}")
 

@@ -30,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import Matrix, MinorTable, all_principal_minors, principal_minor
+from .matrix import (Matrix, MinorTable, _checked_int, all_principal_minors,
+                     principal_minor)
 from .poly import EXP_BITS, Poly
 
 
@@ -135,10 +136,8 @@ def build_tree(a: Matrix, depth: int | None = None,
     every returned node above the bottom level satisfies it exactly.
     """
     n = a.n
-    if depth is None:
-        depth = n - 1
-    if not 0 <= depth <= n - 1:
-        raise ValueError("depth must lie in 0..n-1")
+    depth = _checked_int(n - 1 if depth is None else depth,
+                         "depth must lie in 0..n-1", 0, n - 1)
     if minors is None:
         minors = all_principal_minors(a, cap=n)
     nodes: dict[str, DetPair] = {}

@@ -22,6 +22,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from dstab import cli
+from dstab.harness import run_experiment
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "report_digests.json"
 
@@ -44,7 +47,7 @@ def _workloads():
     return workloads
 
 
-def _check(cli, args: list[str]) -> dict:
+def _check(args: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -71,7 +74,7 @@ def check_digests() -> dict:
                 for m in members:
                     for name, args in option_sets.items():
                         out[f"seed{seed}/{m.name}/{name}"] = _check(
-                            workloads.cli, [f"{m.name}.txt", *args])
+                            [f"{m.name}.txt", *args])
         finally:
             os.chdir(here)
     return out
@@ -79,7 +82,6 @@ def check_digests() -> dict:
 
 def experiment_counts() -> dict:
     """"n/test/refine" -> the verdict counts of one ``run_experiment``."""
-    from dstab.harness import run_experiment
     out = {}
     for n in range(1, 8):
         for test in ("I", "II"):
