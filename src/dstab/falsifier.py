@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import exp, isfinite, log
 from typing import Optional, Sequence
@@ -127,32 +128,43 @@ def first_stage_trials(n: int) -> int:
     return len(deterministic_probes(n)) + CHUNK
 
 
-def _sample_chunks(n: int, start: int, stop: int, seed: int, lo: float,
-                   hi: float):
-    """Yield (first index, diagonals) runs covering indices start..stop-1.
-
-    The deterministic probes come first, as one run; then per-coordinate
-    log-uniform draws over [lo, hi] in runs of CHUNK.  Sample ``index`` is
-    drawn as from its own ``random.Random(stable_seed(seed, index))``: one
-    generator is reseeded per sample, and the hash of ``stable_seed``'s
-    "seed:" prefix is computed once and copied.
-    """
-    probes = deterministic_probes(n)
-    if start < len(probes):
-        yield start, probes[start:stop]
+@lru_cache(maxsize=64)
+def _draw_block(n: int, seed_repr: str, lo: float, hi: float,
+                k: int) -> np.ndarray:
+    """Read-only (CHUNK, n) array of the draws at indices p + k*CHUNK on, p
+    the probe count: those of ``random.Random(stable_seed(seed, index))``
+    for the seed with repr ``seed_repr`` (1, 1.0 and True are equal keys),
+    reseeding one generator per sample from a copy of the hashed prefix."""
     log_lo = log(lo)
     width = log(hi) - log_lo
-    prefix = hashlib.sha256(f"{seed!r}:".encode())
+    prefix = hashlib.sha256(f"{seed_repr}:".encode())
     rng = random.Random()
-    for first in range(max(start, len(probes)), stop, CHUNK):
-        chunk = []
-        for index in range(first, min(first + CHUNK, stop)):
-            h = prefix.copy()
-            h.update(repr(index).encode())
-            rng.seed(int.from_bytes(h.digest()[:8], "big"))
-            chunk.append(tuple(exp(log_lo + width * rng.random())
-                               for _ in range(n)))
-        yield first, chunk
+    first = len(deterministic_probes(n)) + k * CHUNK
+    block = np.empty((CHUNK, n))
+    for i in range(CHUNK):
+        h = prefix.copy()
+        h.update(repr(first + i).encode())
+        rng.seed(int.from_bytes(h.digest()[:8], "big"))
+        block[i] = [exp(log_lo + width * rng.random()) for _ in range(n)]
+    block.flags.writeable = False
+    return block
+
+
+def _sample_chunks(n: int, start: int, stop: int, seed: int, lo: float,
+                   hi: float):
+    """Yield (first index, diagonals) runs covering indices start..stop-1,
+    as float arrays with one diagonal per row: the probes as one run, then
+    the draws, sliced from ``_draw_block``'s memoised blocks.
+    """
+    probes = deterministic_probes(n)
+    p = len(probes)
+    if start < p:
+        yield start, np.array(probes[start:stop])
+    for k in range(max(start - p, 0) // CHUNK,
+                   (stop - p + CHUNK - 1) // CHUNK):
+        base = p + k * CHUNK
+        block = _draw_block(n, repr(seed), lo, hi, k)
+        yield max(start, base), block[max(start - base, 0):stop - base]
 
 
 def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:
@@ -163,7 +175,7 @@ def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:
     equal spectral_margin's bit for bit.
     """
     try:
-        eig = np.linalg.eigvals(np.asarray(chunk)[:, :, None] * a_float)
+        eig = np.linalg.eigvals(chunk[:, :, None] * a_float)
     except np.linalg.LinAlgError:
         # one sample that LAPACK rejects fails the whole stack
         return np.array([spectral_margin(a, d) for d in chunk])
@@ -182,7 +194,9 @@ def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
     counterexample records that seed and index.  Returns the first exactly
     verified counterexample, or None.  Margins are computed a chunk of
     samples at a time; the samples, and so the witness, are the same as
-    when each sample is checked on its own.
+    when each sample is checked on its own.  The draws come in blocks of
+    CHUNK samples, of which the process keeps the last 64 used, so a
+    repeated search redraws nothing; a first search draws whole blocks.
 
     The search covers the ``trials`` indices from ``start`` on, so that
     ``falsify(a, k, seed)`` and then ``falsify(a, n - k, seed, start=k)``
@@ -209,7 +223,7 @@ def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
         margins = _chunk_margins(a, a_float, chunk)
         # not (margin > tolerance), as a NaN margin is a candidate too
         for i in np.flatnonzero(~(margins > GUARD_TOLERANCE)):
-            d = chunk[i]
+            d = tuple(chunk[i].tolist())
             if _verify_exact(a, d):
                 sample = DiagonalSample(d, seed=seed, index=first + int(i))
                 return Counterexample(sample, _offending_eigenvalue(a, d),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import as_exact
+from .poly import _checked_int, as_exact
 
 DEFAULT_MINOR_CAP = 12
 
@@ -28,14 +28,6 @@ NO_P_CLASS = "none"
 
 class MinorCapExceeded(RuntimeError):
     """Raised when a full minor enumeration would exceed the dimension cap."""
-
-
-def _checked_int(value, message: str, lo=-math.inf, hi=math.inf) -> int:
-    """``value`` if it is an int, not a bool, in lo..hi, else
-    ValueError(message): the check of every public integer argument."""
-    if type(value) is not int or not lo <= value <= hi:
-        raise ValueError(message)
-    return value
 
 
 class Matrix:
@@ -62,6 +54,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
+        _checked_int(n, "matrix must have dimension >= 1", 1)
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
@@ -96,16 +89,18 @@ class Matrix:
 
     def permuted(self, perm: Sequence[int]) -> "Matrix":
         """P^T A P for the permutation sending position k to index perm[k] (1-based)."""
-        idx = [p - 1 for p in perm]
+        idx = [_checked_int(p, "perm must be a permutation of 1..n", 1,
+                            self.n) - 1 for p in perm]
+        if sorted(idx) != list(range(self.n)):
+            raise ValueError("perm must be a permutation of 1..n")
         return Matrix([[self.rows[i][j] for j in idx] for i in idx])
 
     def submatrix(self, indices: Iterable[int]) -> "Matrix":
         """Principal submatrix on the given 1-based rows/columns."""
-        idx = sorted(set(indices))
+        idx = sorted({_checked_int(i, "index out of range", 1, self.n)
+                      for i in indices})
         if not idx:
             raise ValueError("empty index set has no submatrix")
-        if idx[0] < 1 or idx[-1] > self.n:
-            raise ValueError("index out of range")
         idx0 = [i - 1 for i in idx]
         return Matrix([[self.rows[i][j] for j in idx0] for i in idx0])
 
@@ -201,10 +196,8 @@ def principal_minor(a: Matrix, alpha: Iterable[int]) -> Fraction:
 
     The empty index set yields 1 by convention.
     """
-    idx = sorted(set(alpha))
-    if not idx:
-        return 1
-    return a.submatrix(idx).det()
+    alpha = list(alpha)
+    return a.submatrix(alpha).det() if alpha else 1
 
 
 def index_mask(alpha: Iterable[int]) -> int:

@@ -19,6 +19,7 @@ takes them, and ``sorted_terms``, ``coefficient``, ``evaluate``,
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -34,6 +35,14 @@ IDENTICALLY_ZERO = "identically_zero"
 NONNEG = "nonneg"
 NONNEG_STRICT = "nonneg_strict"
 MIXED = "mixed"
+
+
+def _checked_int(value, message: str, lo=-math.inf, hi=math.inf) -> int:
+    """``value`` if it is an int, not a bool, in lo..hi, else
+    ValueError(message): the check of every public integer argument."""
+    if type(value) is not int or not lo <= value <= hi:
+        raise ValueError(message)
+    return value
 
 
 def as_exact(x):
@@ -120,6 +129,8 @@ class Poly:
 
     @staticmethod
     def var(i: int) -> "Poly":
+        _checked_int(i, f"variable indices lie in 1..{MAX_VAR}, got {i!r}",
+                     1, MAX_VAR)
         return Poly({((i, 1),): 1})
 
     def is_zero(self) -> bool:

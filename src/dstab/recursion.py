@@ -55,7 +55,8 @@ class PairFG:
 
 def alpha_set(label: str, n: int) -> list[int]:
     """Indices kept with their diagonal variable zeroed (bit 1)."""
-    start = n - len(label) + 1
+    start = _checked_int(n, f"n must be an integer >= {len(label)}",
+                         len(label)) - len(label) + 1
     return [start + j for j, bit in enumerate(label) if bit == "1"]
 
 

@@ -20,9 +20,10 @@ from dstab.certifier import coeff_tree, screened_verdict
 from dstab.falsifier import falsify
 from dstab.harness import (RunConfig, check_matrix, random_stable_matrix,
                            run_experiment)
-from dstab.matrix import (DEFAULT_MINOR_CAP, MinorCapExceeded,
-                          all_principal_minors, parse_matrix)
-from dstab.recursion import build_tree
+from dstab.matrix import (DEFAULT_MINOR_CAP, Matrix, MinorCapExceeded,
+                          all_principal_minors, parse_matrix, principal_minor)
+from dstab.poly import MAX_VAR, Poly
+from dstab.recursion import alpha_set, build_tree
 
 # stable, so a check below its minor cap reaches the cap error
 A = parse_matrix("3 1 0\n-1 2 1\n0 1/2 4")
@@ -159,6 +160,24 @@ def test_coefficient_and_delete_zero_trees_take_or_refuse(depth, tree_depth):
 def test_falsify_takes_or_refuses(trials, start):
     assert outcome(lambda: falsify(A, trials, start=start)) == \
         expect(is_int(trials, 1) and is_int(start, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=args(1, 4), var=args(1, MAX_VAR, huge=True),
+       index=args(1, A.n, huge=True), last=args(1, A.n, huge=True),
+       label_n=args(2, 4, huge=True))
+def test_matrix_and_polynomial_helpers_take_or_refuse(n, var, index, last,
+                                                      label_n):
+    # no huge n: the identity of a valid huge dimension would not fit
+    assert outcome(lambda: Matrix.identity(n)) == expect(is_int(n, 1))
+    assert outcome(lambda: Poly.var(var)) == expect(is_int(var, 1, MAX_VAR))
+    assert outcome(lambda: principal_minor(A, [1, index])) == \
+        expect(is_int(index, 1, A.n))
+    # a permutation of 1..3 only when ``last`` is 3
+    assert outcome(lambda: A.permuted([2, 1, last])) == \
+        expect(is_int(last, A.n, A.n))
+    assert outcome(lambda: alpha_set("01", label_n)) == \
+        expect(is_int(label_n, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dstab import falsifier
 from dstab.falsifier import (CHUNK, GUARD_TOLERANCE, Counterexample,
-                             DiagonalSample, _chunk_margins, _np,
+                             DiagonalSample, _chunk_margins, _draw_block, _np,
                              _offending_eigenvalue, _sample_chunks,
                              _verify_exact, deterministic_probes, falsify,
                              first_stage_trials, johnson_F, spectral_margin,
@@ -179,20 +179,105 @@ def test_batched_falsify_matches_per_sample_loop(case):
     drawn = []
     for start, chunk in _sample_chunks(a.n, 0, trials, seed, 1e-3, 1e3):
         assert start == len(drawn)
-        drawn += chunk
+        drawn += map(tuple, chunk.tolist())
         assert _chunk_margins(a, _np(a), chunk).tolist() == \
             [spectral_margin(a, d) for d in chunk]
     assert drawn == list(per_sample_diagonals(a.n, trials, seed))
     # a search split in two draws the same samples and finds the same
     # witness
     k = trials // 2
-    assert [d for _, chunk in _sample_chunks(a.n, k, trials, seed, 1e-3, 1e3)
-            for d in chunk] == drawn[k:]
+    assert [tuple(d) for _, chunk in _sample_chunks(a.n, k, trials, seed,
+                                                    1e-3, 1e3)
+            for d in chunk.tolist()] == drawn[k:]
     if k:
         later = falsify(a, trials=trials - k, seed=seed, start=k)
         assert later is None or later.sample.index >= k
         assert (falsify(a, trials=k, seed=seed) or later) == \
             falsify(a, trials=trials, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the memoised blocks of draws against the per-sample reseeding they cache
+
+
+def sampled_bytes(n, start, stop, seed, lo, hi):
+    """The diagonals of _sample_chunks for start..stop-1, as float64 bytes,
+    after checking that the runs are contiguous."""
+    runs = list(_sample_chunks(n, start, stop, seed, lo, hi))
+    firsts = [first for first, _ in runs]
+    assert firsts == [start] + [first + len(chunk)
+                                for first, chunk in runs[:-1]]
+    return np.concatenate([chunk for _, chunk in runs]).tobytes()
+
+
+def reference_bytes(n, start, stop, seed, lo, hi):
+    rows = list(per_sample_diagonals(n, stop, seed, lo, hi))[start:]
+    return np.array(rows, dtype=np.float64).tobytes()
+
+
+@st.composite
+def draw_cases(draw):
+    """n=2..6, a seed as in falsifier_cases, a range [lo, hi], and a run
+    of samples that may start among the probes and cross block
+    boundaries."""
+    n = draw(st.integers(2, 6))
+    seed = draw(st.one_of(st.integers(0, 2 ** 32), st.integers(max_value=-1),
+                          st.integers(min_value=2 ** 64)))
+    lo = draw(st.floats(1e-6, 10.0))
+    hi = draw(st.floats(lo, 1e6).filter(lambda h: h > lo))
+    probes = len(deterministic_probes(n))
+    start = draw(st.one_of(st.integers(0, probes),
+                           st.integers(probes, probes + 3 * CHUNK)))
+    trials = draw(st.one_of(st.integers(1, 3),
+                            st.integers(CHUNK - 2, CHUNK + 2),
+                            st.integers(1, 3 * CHUNK)))
+    return n, seed, lo, hi, start, start + trials
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=draw_cases())
+def test_memoised_blocks_match_per_sample_draws_bit_for_bit(case):
+    n, seed, lo, hi, start, stop = case
+    # a neighbouring seed and range at the same n and blocks, drawn first,
+    # must not be served from the same cache entries
+    keys = [(seed, lo, hi), (seed + 1, lo, hi), (seed, lo, (lo + hi) / 2)]
+    _draw_block.cache_clear()
+    for key in keys + keys[:1]:
+        assert sampled_bytes(n, start, stop, *key) == \
+            reference_bytes(n, start, stop, *key)
+
+
+def test_blocks_are_keyed_on_every_draw_parameter():
+    """Each seed and range draws its own blocks; 1, True and 1.0 are equal
+    as dict keys but seed different draws, as stable_seed hashes the repr."""
+    first = first_stage_trials(3)
+    for key in ((1, 1e-3, 1e3), (True, 1e-3, 1e3), (1.0, 1e-3, 1e3),
+                ("1", 1e-3, 1e3), (1, 1e-2, 1e3), (1, 1e-2, 1e2),
+                (1, 1e-3, 1e3)):
+        assert sampled_bytes(3, 0, first, *key) == \
+            reference_bytes(3, 0, first, *key)
+
+
+def test_a_repeated_search_returns_an_equal_counterexample():
+    _draw_block.cache_clear()
+    cold = falsify(RARE_HIT, trials=4 * CHUNK, seed=LATE_SEED)
+    warm = falsify(RARE_HIT, trials=4 * CHUNK, seed=LATE_SEED)
+    assert _draw_block.cache_info().hits > 0
+    assert cold == warm == per_sample_falsify(RARE_HIT, 4 * CHUNK, LATE_SEED)
+    assert type(warm.sample.d) is tuple
+    assert all(type(x) is float for x in warm.sample.d)
+
+
+def test_cached_blocks_are_read_only():
+    block = _draw_block(2, repr(0), 1e-3, 1e3, 0)
+    assert block.shape == (CHUNK, 2)
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+    _, chunk = list(_sample_chunks(2, 0, first_stage_trials(2), 0, 1e-3,
+                                   1e3))[-1]
+    with pytest.raises(ValueError):
+        chunk[0] = 1.0
+    assert _draw_block(2, repr(0), 1e-3, 1e3, 0) is block
 
 
 # Every sample of this block-diagonal matrix is a float candidate, since the
