@@ -129,23 +129,22 @@ def first_stage_trials(n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _draw_block(n: int, seed_repr: str, lo: float, hi: float,
-                k: int) -> np.ndarray:
-    """Read-only (CHUNK, n) array of the draws at indices p + k*CHUNK on, p
-    the probe count: those of ``random.Random(stable_seed(seed, index))``
-    for the seed with repr ``seed_repr`` (1, 1.0 and True are equal keys),
-    reseeding one generator per sample from a copy of the hashed prefix."""
+def _draw_block(n: int, seed_repr: str, lo: float, hi: float, first: int,
+                stop: int) -> np.ndarray:
+    """Read-only (stop - first, n) array of the draws at indices
+    first..stop-1 for the seed of repr ``seed_repr`` (1, 1.0 and True are
+    equal keys, their reprs not), reseeding one generator per sample."""
     log_lo = log(lo)
     width = log(hi) - log_lo
     prefix = hashlib.sha256(f"{seed_repr}:".encode())
     rng = random.Random()
-    first = len(deterministic_probes(n)) + k * CHUNK
-    block = np.empty((CHUNK, n))
-    for i in range(CHUNK):
+    block = np.empty((stop - first, n))
+    for i in range(first, stop):
         h = prefix.copy()
-        h.update(repr(first + i).encode())
+        h.update(repr(i).encode())
         rng.seed(int.from_bytes(h.digest()[:8], "big"))
-        block[i] = [exp(log_lo + width * rng.random()) for _ in range(n)]
+        block[i - first] = [exp(log_lo + width * rng.random())
+                            for _ in range(n)]
     block.flags.writeable = False
     return block
 
@@ -153,18 +152,20 @@ def _draw_block(n: int, seed_repr: str, lo: float, hi: float,
 def _sample_chunks(n: int, start: int, stop: int, seed: int, lo: float,
                    hi: float):
     """Yield (first index, diagonals) runs covering indices start..stop-1,
-    as float arrays with one diagonal per row: the probes as one run, then
-    the draws, sliced from ``_draw_block``'s memoised blocks.
+    as float arrays, one diagonal per row: the probes as one run, then the
+    draws cut at the blocks p + k*CHUNK (p the probe count), each run the
+    array ``_draw_block`` memoises for (n, repr(seed), lo, hi, first, stop).
+    A search that repeats its arguments redraws nothing while the last 64
+    runs used hold it; any other search draws just the indices it covers.
     """
     probes = deterministic_probes(n)
     p = len(probes)
     if start < p:
         yield start, np.array(probes[start:stop])
-    for k in range(max(start - p, 0) // CHUNK,
-                   (stop - p + CHUNK - 1) // CHUNK):
-        base = p + k * CHUNK
-        block = _draw_block(n, repr(seed), lo, hi, k)
-        yield max(start, base), block[max(start - base, 0):stop - base]
+    for base in range(p + max(start - p, 0) // CHUNK * CHUNK, stop, CHUNK):
+        first = max(start, base)
+        yield first, _draw_block(n, repr(seed), lo, hi, first,
+                                 min(stop, base + CHUNK))
 
 
 def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:
@@ -194,9 +195,8 @@ def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
     counterexample records that seed and index.  Returns the first exactly
     verified counterexample, or None.  Margins are computed a chunk of
     samples at a time; the samples, and so the witness, are the same as
-    when each sample is checked on its own.  The draws come in blocks of
-    CHUNK samples, of which the process keeps the last 64 used, so a
-    repeated search redraws nothing; a first search draws whole blocks.
+    when each sample is checked on its own.  A repeated search reuses the
+    draws (see ``_sample_chunks``); a first one pays about 10 us a draw.
 
     The search covers the ``trials`` indices from ``start`` on, so that
     ``falsify(a, k, seed)`` and then ``falsify(a, n - k, seed, start=k)``

@@ -46,7 +46,10 @@ def _memo_without(*positions):
             if key not in cache:
                 cache[key] = fn(*args)
             return cache[key]
-        cached.cache_clear = cache.clear
+        def cache_clear():
+            cache.clear()
+            calls[:] = [0, 0]
+        cached.cache_clear = cache_clear
         cached.cache_info = lambda: functools._CacheInfo(
             calls[1], calls[0], None, len(cache))
         return cached
@@ -59,8 +62,14 @@ MEMO = "@lru_cache(maxsize=64)\ndef _draw_block("
 # name -> (text in falsifier.py, replacement); each text occurs once
 MUTANTS = {
     "block offset off by one": (
-        "first = len(deterministic_probes(n)) + k * CHUNK\n",
-        "first = len(deterministic_probes(n)) + k * CHUNK + 1\n"),
+        "range(p + max(start - p, 0) // CHUNK * CHUNK, stop, CHUNK)",
+        "range(p + 1 + max(start - p, 0) // CHUNK * CHUNK, stop, CHUNK)"),
+    "drawn index off by one": (
+        "h.update(repr(i).encode())", "h.update(repr(i + 1).encode())"),
+    "whole block drawn past stop": (
+        "                                 min(stop, base + CHUNK))\n",
+        "                                 base + CHUNK)[:min(stop, base + CHUNK)"
+        " - first]\n"),
     "cache key without seed": (
         MEMO, KEY_WITHOUT + "@_memo_without(1)\ndef _draw_block("),
     "cache key without lo/hi": (

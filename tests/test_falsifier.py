@@ -202,11 +202,16 @@ def test_batched_falsify_matches_per_sample_loop(case):
 
 def sampled_bytes(n, start, stop, seed, lo, hi):
     """The diagonals of _sample_chunks for start..stop-1, as float64 bytes,
-    after checking that the runs are contiguous."""
+    after checking that the runs are contiguous, that the draws are cut
+    only at block boundaries, and that each run of draws is a whole array
+    of _draw_block, not a slice of a larger draw."""
     runs = list(_sample_chunks(n, start, stop, seed, lo, hi))
     firsts = [first for first, _ in runs]
     assert firsts == [start] + [first + len(chunk)
                                 for first, chunk in runs[:-1]]
+    p = len(deterministic_probes(n))
+    assert all((first - p) % CHUNK == 0 for first in firsts[1:])
+    assert all(chunk.base is None for first, chunk in runs if first >= p)
     return np.concatenate([chunk for _, chunk in runs]).tobytes()
 
 
@@ -268,8 +273,21 @@ def test_a_repeated_search_returns_an_equal_counterexample():
     assert all(type(x) is float for x in warm.sample.d)
 
 
+def test_a_search_draws_only_the_indices_it_asks_for():
+    """A first search of 50 samples at n=5 draws its 29 after the 21
+    probes, not the whole block of CHUNK."""
+    _draw_block.cache_clear()
+    assert falsify(Matrix.identity(5), trials=50) is None
+    info = _draw_block.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    _, chunk = list(_sample_chunks(5, 0, 50, 0, 1e-3, 1e3))[-1]
+    assert chunk.shape == (50 - len(deterministic_probes(5)), 5)
+    assert _draw_block.cache_info().hits == 1
+
+
 def test_cached_blocks_are_read_only():
-    block = _draw_block(2, repr(0), 1e-3, 1e3, 0)
+    p = len(deterministic_probes(2))
+    block = _draw_block(2, repr(0), 1e-3, 1e3, p, p + CHUNK)
     assert block.shape == (CHUNK, 2)
     with pytest.raises(ValueError):
         block[0, 0] = 1.0
@@ -277,7 +295,7 @@ def test_cached_blocks_are_read_only():
                                    1e3))[-1]
     with pytest.raises(ValueError):
         chunk[0] = 1.0
-    assert _draw_block(2, repr(0), 1e-3, 1e3, 0) is block
+    assert _draw_block(2, repr(0), 1e-3, 1e3, p, p + CHUNK) is block
 
 
 # Every sample of this block-diagonal matrix is a float candidate, since the
