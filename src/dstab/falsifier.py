@@ -20,11 +20,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matrix import Matrix, _checked_int, det_complex, is_positive_stable
+from .matrix import (Matrix, MinorTable, _checked_int, all_principal_minors,
+                     det_complex, is_positive_stable)
 
 GUARD_TOLERANCE = 1e-9
 # samples per stacked eigensolve in falsify
 CHUNK = 256
+# the largest n that falsify screens: the screen costs about k*2^n, and at
+# n = 10 it is slower than eigvals (BENCH_falsifier_screen.json)
+SCREEN_MAX_N = 9
+_U = 2.0 ** -53          # unit roundoff of float64
+_TINY = 2.0 ** -1022     # smallest normal float64
+# the screen's absolute error term: far above the at most 2^n * 2^-1074 that
+# underflow costs, and a normal float, so that the radii of exact zeros stay
+# clear of subnormals (ten times slower to multiply)
+_FLOOR = 2.0 ** -600
 
 
 def stable_seed(*parts) -> int:
@@ -168,12 +178,88 @@ def _sample_chunks(n: int, start: int, stop: int, seed: int, lo: float,
                                  min(stop, base + CHUNK))
 
 
+# Midpoint-radius arithmetic (Rump, BIT 39(3), 1999) in round-to-nearest: a
+# pair (m, r) stands for the reals within r of m.  Each operation bounds the
+# error left by its operands' radii, adds u|m| + 2^-1075 for the rounding of
+# m, and inflates the radius by (1 + 16u) and _FLOOR for the few rounded,
+# maybe underflowing, operations that computed it.
+
+
+def _rounded(mid, err):
+    return mid, (err + _U * np.abs(mid)) * (1 + 16 * _U) + _FLOOR
+
+
+def _mul(x, y):
+    (xm, xr), (ym, yr) = x, y
+    return _rounded(xm * ym, np.abs(xm) * yr + xr * (np.abs(ym) + yr))
+
+
+def _sub(x, y):
+    (xm, xr), (ym, yr) = x, y
+    return _rounded(xm - ym, xr + yr)
+
+
+def _div(x, y):
+    """x / y where ym - yr > 0, with |xm / ym| <= |m| + _FLOOR."""
+    (xm, xr), (ym, yr) = x, y
+    m = xm / ym
+    return _rounded(m, (xr + (np.abs(m) + _FLOOR) * yr) / (ym - yr))
+
+
+def _proved_stable(a_minors: MinorTable, chunk) -> np.ndarray:
+    """Bool per diagonal d of ``chunk``: True only if diag(d)*A is proved
+    positive stable, so that the exact check would reject it.
+
+    Its characteristic coefficients are c_k = sum of d^alpha * A(alpha) over
+    |alpha| = k, from A's table ``a_minors``.  A float term takes |alpha| + 1
+    roundings (A(alpha) by int true division, NaN on overflow or underflow)
+    and a sum at most 2^n, so c_k is off by at most (2^n + n + 1)u times the
+    sum of the |terms| (Higham, Accuracy and Stability, 3.1 and 4.2); twice
+    that covers the radius's own rounding, and _FLOOR underflowing products.
+    A row with a monomial below the normal range is not proved.  The Routh
+    array runs on the pairs; a row is proved when every lead is in (0, inf).
+    """
+    n = len(chunk[0])
+    mono = np.ones((len(chunk), 1 << n))
+    for i in range(n):                  # bit i of the mask is index i + 1
+        half = 1 << i
+        mono[:, half:2 * half] = mono[:, :half] * chunk[:, i:i + 1]
+    minors, by_order = np.empty(1 << n), np.zeros((1 << n, n + 1))
+    for mask, value in enumerate(a_minors.values):
+        order = mask.bit_count()
+        by_order[mask, order] = 1.0
+        try:
+            x = value / a_minors.scale ** order
+        except OverflowError:
+            x = np.nan
+        minors[mask] = np.nan if value and abs(x) < _TINY else x
+    # table[:, j] is Routh row j as a (mid, rad) pair of (n // 2 + 1, k)
+    # arrays, zero-padded; rows 0 and 1 are (c_0 = 1, c_2, ...), (c_1, ...)
+    table = np.zeros((2, n + 1, n // 2 + 1, len(chunk)))
+    with np.errstate(all="ignore"):
+        terms = mono * minors
+        mid = (terms @ by_order).T
+        rad = (2 * ((1 << n) + n + 2) * _U * (np.abs(terms) @ by_order)
+               + _FLOOR).T
+        for j in (0, 1):
+            table[:, j, :len(mid[j::2])] = mid[j::2], rad[j::2]
+        for j in range(1, n):
+            above, row = table[:, j - 1], table[:, j]
+            q = _div(above[:, :1], row[:, :1])
+            table[:, j + 1, :-1] = _sub(above[:, 1:], _mul(q, row[:, 1:]))
+        lead_mid, lead_rad = table[:, 1:, 0]
+        proved = ((lead_mid - lead_rad > 0)
+                  & (lead_mid + lead_rad < np.inf)).all(axis=0)
+    return proved & (mono.min(axis=1) >= _TINY)
+
+
 def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:
     """spectral_margin of every diagonal in ``chunk``, one eigensolve.
 
     d[:, :, None] * A has the same entries as diag(d) @ A, and eigvals runs
     the same LAPACK routine on each matrix of the stack, so the margins
-    equal spectral_margin's bit for bit.
+    equal spectral_margin's bit for bit; ``falsify`` passes only the rows
+    that ``_proved_stable`` leaves.
     """
     try:
         eig = np.linalg.eigvals(chunk[:, :, None] * a_float)
@@ -184,8 +270,8 @@ def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:
 
 
 def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
-            lo: float = 1e-3, hi: float = 1e3, *,
-            start: int = 0) -> Optional[Counterexample]:
+            lo: float = 1e-3, hi: float = 1e3, *, start: int = 0,
+            minors: MinorTable | None = None) -> Optional[Counterexample]:
     """Search for a positive diagonal witnessing non-D-stability.
 
     Deterministic probes run first, then per-coordinate log-uniform samples
@@ -197,6 +283,13 @@ def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
     samples at a time; the samples, and so the witness, are the same as
     when each sample is checked on its own.  A repeated search reuses the
     draws (see ``_sample_chunks``); a first one pays about 10 us a draw.
+
+    Up to n = SCREEN_MAX_N (9) a rigorous float screen runs first: from
+    ``minors``, A's principal minor table (built here when not given), it
+    encloses the characteristic coefficients of each D*A and proves by the
+    Routh array that D*A is positive stable (``_proved_stable``).  The exact
+    check would reject such a sample, so skipping it cannot change the
+    witness; only the other samples meet the eigensolver.
 
     The search covers the ``trials`` indices from ``start`` on, so that
     ``falsify(a, k, seed)`` and then ``falsify(a, n - k, seed, start=k)``
@@ -218,14 +311,23 @@ def falsify(a: Matrix, trials: int = 10_000, seed: int = 0,
         raise ValueError(f"falsify needs every entry times the largest "
                          f"diagonal {top:g} to be finite in float64 (at "
                          f"most {np.finfo(float).max:.6g})")
+    if a.n > SCREEN_MAX_N:
+        minors = None
+    elif minors is None:
+        minors = all_principal_minors(a)
     for first, chunk in _sample_chunks(a.n, start, start + trials, seed,
                                        lo, hi):
-        margins = _chunk_margins(a, a_float, chunk)
+        rest = (np.arange(len(chunk)) if minors is None
+                else np.flatnonzero(~_proved_stable(minors, chunk)))
+        if not rest.size:
+            continue
+        margins = _chunk_margins(a, a_float, chunk[rest])
         # not (margin > tolerance), as a NaN margin is a candidate too
         for i in np.flatnonzero(~(margins > GUARD_TOLERANCE)):
-            d = tuple(chunk[i].tolist())
+            d = tuple(chunk[rest[i]].tolist())
             if _verify_exact(a, d):
-                sample = DiagonalSample(d, seed=seed, index=first + int(i))
+                sample = DiagonalSample(d, seed=seed,
+                                        index=first + int(rest[i]))
                 return Counterexample(sample, _offending_eigenvalue(a, d),
                                       float(margins[i]))
     return None

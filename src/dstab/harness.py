@@ -75,7 +75,7 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
         return TestReport(FAILED_NECESSARY,
                           detail="matrix is not a P0+-matrix")
     first = min(cfg.falsify_trials, first_stage_trials(a.n))
-    found = _falsify_range(a, cfg.seed, 0, first)
+    found = _falsify_range(a, cfg.seed, 0, first, minors)
     if found is not None:
         return _falsified(found)
     # looked up on the module, so that a wrapped seed_polys sees this call
@@ -101,15 +101,18 @@ def check_matrix(a: Matrix, cfg: RunConfig | None = None) -> TestReport:
         report.permutation = perm
         if report.verdict == CERTIFIED:
             return report
-    found = _falsify_range(a, cfg.seed, first, cfg.falsify_trials)
+    found = _falsify_range(a, cfg.seed, first, cfg.falsify_trials, minors)
     return report if found is None else _falsified(found)
 
 
-def _falsify_range(a: Matrix, seed: int, start: int, stop: int):
-    """``falsify`` over the sample indices start..stop-1 (none if empty)."""
+def _falsify_range(a: Matrix, seed: int, start: int, stop: int,
+                   minors: MinorTable):
+    """``falsify`` over the sample indices start..stop-1 (none if empty),
+    screened with A's minor table."""
     if stop <= start:
         return None
-    return falsify(a, trials=stop - start, seed=seed, start=start)
+    return falsify(a, trials=stop - start, seed=seed, start=start,
+                   minors=minors)
 
 
 def _falsified(found) -> TestReport:
@@ -289,7 +292,7 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
             continue
         # as in check_matrix: the falsifier's first stage, the proofs, and
         # the rest of the samples only for an uncertified trial
-        if _falsify_range(a, trial_seed, 0, first) is not None:
+        if _falsify_range(a, trial_seed, 0, first, minors) is not None:
             counts[FALSIFIED] += 1
             continue
         if refine:
@@ -299,7 +302,7 @@ def run_experiment(n: int, trials: int, seed: int = 0, test: str = "I",
         else:
             verdict = screened_verdict(a, test, minors=minors)
         if (verdict != CERTIFIED and _falsify_range(
-                a, trial_seed, first, falsify_trials) is not None):
+                a, trial_seed, first, falsify_trials, minors) is not None):
             verdict = FALSIFIED
         counts[verdict] += 1
     stats = ExperimentStats(n=n, trials=trials, seed=seed,

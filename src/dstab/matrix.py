@@ -89,10 +89,7 @@ class Matrix:
 
     def permuted(self, perm: Sequence[int]) -> "Matrix":
         """P^T A P for the permutation sending position k to index perm[k] (1-based)."""
-        idx = [_checked_int(p, "perm must be a permutation of 1..n", 1,
-                            self.n) - 1 for p in perm]
-        if sorted(idx) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of 1..n")
+        idx = _perm_indices(perm, self.n)
         return Matrix([[self.rows[i][j] for j in idx] for i in idx])
 
     def submatrix(self, indices: Iterable[int]) -> "Matrix":
@@ -110,6 +107,15 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix([{body}])"
+
+
+def _perm_indices(perm: Sequence[int], n: int) -> list[int]:
+    """The 0-based indices of a permutation of 1..n, or ValueError."""
+    idx = [_checked_int(p, "perm must be a permutation of 1..n", 1, n) - 1
+           for p in perm]
+    if sorted(idx) != list(range(n)):
+        raise ValueError("perm must be a permutation of 1..n")
+    return idx
 
 
 def _scaled_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -253,8 +259,8 @@ class MinorTable:
         """
         # moved[mask] is the position mask of the index mask ``mask``; it
         # adds the lowest index's position to the mask without that index
-        bit = {1 << (index - 1): 1 << (k - 1)
-               for k, index in enumerate(perm, start=1)}
+        bit = {1 << i: 1 << k
+               for k, i in enumerate(_perm_indices(perm, self.n))}
         moved = [0] * len(self.values)
         out = [1] * len(self.values)
         for mask in range(1, len(self.values)):

@@ -27,6 +27,7 @@ from dstab.recursion import alpha_set, build_tree
 
 # stable, so a check below its minor cap reaches the cap error
 A = parse_matrix("3 1 0\n-1 2 1\n0 1/2 4")
+TABLE = all_principal_minors(A)
 HUGE = 2 ** 70
 TESTS = ("I", "II", "both")
 
@@ -176,8 +177,23 @@ def test_matrix_and_polynomial_helpers_take_or_refuse(n, var, index, last,
     # a permutation of 1..3 only when ``last`` is 3
     assert outcome(lambda: A.permuted([2, 1, last])) == \
         expect(is_int(last, A.n, A.n))
+    assert outcome(lambda: TABLE.permuted([2, 1, last])) == \
+        expect(is_int(last, A.n, A.n))
     assert outcome(lambda: alpha_set("01", label_n)) == \
         expect(is_int(label_n, 2))
+
+
+def test_permuted_minor_table_refuses_what_the_matrix_refuses():
+    """A repeated, short, float or bool entry is not a permutation of 1..n,
+    for the table as for the matrix."""
+    for perm in ([1, 1, 2], [1, 2], [1, 2.0, 3], [True, 2, 3], [1, 2, 3, 4],
+                 [0, 1, 2]):
+        for permuted in (A.permuted, TABLE.permuted):
+            with pytest.raises(ValueError,
+                               match="perm must be a permutation of 1..n"):
+                permuted(perm)
+    assert TABLE.permuted([3, 1, 2]).values == \
+        all_principal_minors(A.permuted([3, 1, 2])).values
 
 
 # ---------------------------------------------------------------------------

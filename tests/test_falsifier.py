@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstab import falsifier
-from dstab.falsifier import (CHUNK, GUARD_TOLERANCE, Counterexample,
-                             DiagonalSample, _chunk_margins, _draw_block, _np,
-                             _offending_eigenvalue, _sample_chunks,
-                             _verify_exact, deterministic_probes, falsify,
+from dstab.falsifier import (CHUNK, GUARD_TOLERANCE, SCREEN_MAX_N,
+                             Counterexample, DiagonalSample, _chunk_margins,
+                             _draw_block, _np, _offending_eigenvalue,
+                             _proved_stable, _sample_chunks, _verify_exact,
+                             deterministic_probes, falsify,
                              first_stage_trials, johnson_F, spectral_margin,
                              stable_seed)
-from dstab.matrix import Matrix, is_positive_stable, parse_matrix
+from dstab.matrix import (Matrix, all_principal_minors, is_positive_stable,
+                          parse_matrix)
 from dstab.recursion import build_tree
 
 # stable but not D-stable: scaling the second row down destabilizes it
@@ -333,22 +335,51 @@ def test_second_half_of_a_split_search_finds_a_late_witness():
     assert later is None or later.sample.index > expected.sample.index
 
 
+def screened_stacks(a, trials, seed, start=0):
+    """The runs of draws of a search that hold a sample the screen leaves to
+    the eigensolver, up to the run of its witness."""
+    found = falsify(a, trials=trials, seed=seed, start=start)
+    table = all_principal_minors(a)
+    stacks = 0
+    for first, chunk in _sample_chunks(a.n, start, start + trials, seed,
+                                       1e-3, 1e3):
+        if found is not None and first > found.sample.index:
+            break
+        stacks += not _proved_stable(table, chunk).all()
+    return stacks
+
+
 def test_stacked_eigensolve_failure_falls_back_per_sample(monkeypatch):
-    expected = per_sample_falsify(RARE_HIT, 4 * CHUNK, LATE_SEED)
+    """Every stack the screen leaves is refused, and the per-sample
+    fallback finds the same witnesses.  The screen proves all but a few
+    samples of each run of RARE_HIT, so the second search, past the first
+    witness, is there to refuse more stacks."""
+    after = per_sample_falsify(RARE_HIT, 4 * CHUNK,
+                               LATE_SEED).sample.index + 1
+    searches = [(RARE_HIT, 4 * CHUNK, LATE_SEED, 0),
+                (RARE_HIT, 4 * CHUNK - after, LATE_SEED, after),
+                (NOT_D_STABLE, 2000, 1, 0)]
+    expected = [falsify(a, trials=trials, seed=seed, start=start)
+                for a, trials, seed, start in searches]
+    assert expected[0] == per_sample_falsify(RARE_HIT, 4 * CHUNK, LATE_SEED)
+    assert expected[2] == per_sample_falsify(NOT_D_STABLE, 2000, 1)
+    stacks = sum(screened_stacks(*search) for search in searches)
+    assert stacks >= 3
     eigvals = np.linalg.eigvals
-    calls = {"stacked": 0}
+    refused = []
 
     def no_stacks(m):
         if np.ndim(m) == 3:
-            calls["stacked"] += 1
+            refused.append(len(m))
             raise np.linalg.LinAlgError("stacked input refused")
         return eigvals(m)
 
     monkeypatch.setattr(np.linalg, "eigvals", no_stacks)
-    assert falsify(RARE_HIT, trials=4 * CHUNK, seed=LATE_SEED) == expected
-    assert falsify(NOT_D_STABLE, trials=2000, seed=1) == \
-        per_sample_falsify(NOT_D_STABLE, 2000, 1)
-    assert calls["stacked"] >= 3
+    assert [falsify(a, trials=trials, seed=seed, start=start)
+            for a, trials, seed, start in searches] == expected
+    assert len(refused) == stacks
+    # only the samples the screen leaves reach the eigensolver
+    assert all(size < CHUNK for size in refused)
 
 
 def test_falsify_refuses_entries_beyond_the_float_range(monkeypatch):
