@@ -220,27 +220,31 @@ def _proved_stable(a_minors: MinorTable, chunk) -> np.ndarray:
     array runs on the pairs; a row is proved when every lead is in (0, inf).
     """
     n = len(chunk[0])
-    mono = np.ones((len(chunk), 1 << n))
-    for i in range(n):                  # bit i of the mask is index i + 1
+    mono = np.ones((1 << n, len(chunk)))    # mono[mask] holds d^alpha
+    for i in range(n):                      # bit i of a mask is index i + 1
         half = 1 << i
-        mono[:, half:2 * half] = mono[:, :half] * chunk[:, i:i + 1]
-    minors, by_order = np.empty(1 << n), np.zeros((1 << n, n + 1))
+        mono[half:2 * half] = mono[:half] * chunk[:, i]
+    minors, orders = np.empty(1 << n), np.empty(1 << n, dtype=int)
     for mask, value in enumerate(a_minors.values):
-        order = mask.bit_count()
-        by_order[mask, order] = 1.0
+        order = orders[mask] = mask.bit_count()
         try:
             x = value / a_minors.scale ** order
         except OverflowError:
             x = np.nan
         minors[mask] = np.nan if value and abs(x) < _TINY else x
+    # the masks grouped by order, c_k being the sum over group k; add.reduceat
+    # rather than a matmul with a 0/1 matrix, whose BLAS threads cost more
+    # than the screen when the machine is busy (about 8 ms a call at n = 9)
+    by_order = np.argsort(orders, kind="stable")
+    starts = np.searchsorted(orders[by_order], np.arange(n + 1))
     # table[:, j] is Routh row j as a (mid, rad) pair of (n // 2 + 1, k)
     # arrays, zero-padded; rows 0 and 1 are (c_0 = 1, c_2, ...), (c_1, ...)
     table = np.zeros((2, n + 1, n // 2 + 1, len(chunk)))
     with np.errstate(all="ignore"):
-        terms = mono * minors
-        mid = (terms @ by_order).T
-        rad = (2 * ((1 << n) + n + 2) * _U * (np.abs(terms) @ by_order)
-               + _FLOOR).T
+        terms = (mono * minors[:, None])[by_order]
+        mid = np.add.reduceat(terms, starts)
+        rad = (2 * ((1 << n) + n + 2) * _U
+               * np.add.reduceat(np.abs(terms), starts) + _FLOOR)
         for j in (0, 1):
             table[:, j, :len(mid[j::2])] = mid[j::2], rad[j::2]
         for j in range(1, n):
@@ -250,7 +254,7 @@ def _proved_stable(a_minors: MinorTable, chunk) -> np.ndarray:
         lead_mid, lead_rad = table[:, 1:, 0]
         proved = ((lead_mid - lead_rad > 0)
                   & (lead_mid + lead_rad < np.inf)).all(axis=0)
-    return proved & (mono.min(axis=1) >= _TINY)
+    return proved & (mono.min(axis=0) >= _TINY)
 
 
 def _chunk_margins(a: Matrix, a_float: np.ndarray, chunk) -> np.ndarray:

@@ -76,6 +76,19 @@ MUTANTS = {
         MEMO, KEY_WITHOUT + "@_memo_without(2, 3)\ndef _draw_block("),
     "_verify_exact always True": (
         "    return not is_positive_stable(da)\n", "    return True\n"),
+    "screen radius forced to 0": (
+        "proved = ((lead_mid - lead_rad > 0)",
+        "proved = ((lead_mid - 0 * lead_rad > 0)"),
+    "screen lead test mid + rad > 0": (
+        "proved = ((lead_mid - lead_rad > 0)",
+        "proved = ((lead_mid + lead_rad > 0)"),
+    "popcount grouping off by one": (
+        "np.searchsorted(orders[by_order], np.arange(n + 1))",
+        "np.searchsorted(orders[by_order], np.arange(n + 1))"
+        " - (np.arange(n + 1) > 0)"),
+    "Routh divisor taken from the wrong row": (
+        "q = _div(above[:, :1], row[:, :1])",
+        "q = _div(row[:, :1], above[:, :1])"),
 }
 
 
