@@ -174,8 +174,10 @@ def falsifier_cases(draw):
 @given(case=falsifier_cases())
 def test_batched_falsify_matches_per_sample_loop(case):
     a, trials, seed = case
-    assert falsify(a, trials=trials, seed=seed) == \
-        per_sample_falsify(a, trials, seed)
+    expected = per_sample_falsify(a, trials, seed)
+    assert falsify(a, trials=trials, seed=seed) == expected
+    assert falsify(a, trials=trials, seed=seed,
+                   minors=all_principal_minors(a)) == expected
     # the chunks hold the reference draws in order, and their margins are
     # spectral_margin's, bit for bit
     drawn = []
@@ -196,6 +198,132 @@ def test_batched_falsify_matches_per_sample_loop(case):
         assert later is None or later.sample.index >= k
         assert (falsify(a, trials=k, seed=seed) or later) == \
             falsify(a, trials=trials, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the float stability screen against the exact check
+
+
+def scaled(a, d):
+    """diag(d) * A exactly, each float of d taken at its binary value."""
+    return Matrix([[Fraction(di) * x for x in row]
+                   for di, row in zip(d, a.rows)])
+
+
+@st.composite
+def screen_cases(draw):
+    """A at n=2..9: small int or mixed-denominator entries (so zero and
+    negative minors), shifted along the diagonal to be stable often, and
+    dense, singular (a repeated row) or upper triangular with a corner
+    entry of +-10^304, near the float limit that falsify accepts; a dense
+    A may be scaled by 10^-300, 10^150 or 10^302, where the float minors
+    underflow or overflow.  Then some probe rows and log-uniform draws
+    over a drawn range."""
+    n = draw(st.integers(2, 9))
+    entry = draw(st.sampled_from([
+        st.integers(-6, 6).map(Fraction),
+        st.builds(Fraction, st.integers(-60, 60),
+                  st.sampled_from([1, 2, 3, 7, 10, 49]))]))
+    shift = draw(st.sampled_from([0, 3, 12, 40, 200]))
+    rows = [[draw(entry) + (shift if i == j else 0) for j in range(n)]
+            for i in range(n)]
+    kind = draw(st.sampled_from(["dense", "dense", "singular",
+                                 "triangular"]))
+    if kind == "singular":
+        rows[-1] = rows[0]
+    if kind == "triangular":
+        rows = [[x if j >= i else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+        rows[0][-1] = draw(st.sampled_from([1, -1])) * 10 ** 304
+    scale = draw(st.sampled_from([1, 1, 1, Fraction(1, 10 ** 300),
+                                  10 ** 150, 10 ** 302]))
+    a = Matrix(rows).scale(1 if kind == "triangular" else scale)
+    probes = deterministic_probes(n)
+    picks = draw(st.lists(st.integers(0, len(probes) - 1), max_size=4))
+    lo = draw(st.sampled_from([1e-3, 1e-6, 0.5]))
+    hi = draw(st.sampled_from([1e3, 1e6, 2.0]))
+    seed = draw(st.integers(0, 2 ** 32))
+    _, draws = next(_sample_chunks(n, len(probes), len(probes) + 6, seed,
+                                   lo, hi))
+    chunk = np.array([probes[i] for i in picks] + draws.tolist())
+    return a, chunk
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=screen_cases())
+def test_a_screened_row_is_exactly_positive_stable(case):
+    a, chunk = case
+    proved = _proved_stable(all_principal_minors(a), chunk)
+    assert proved.shape == (len(chunk),)
+    for d in chunk[proved].tolist():
+        assert is_positive_stable(scaled(a, d))
+
+
+def marginal_cases(rng, count):
+    """(A, d) with diag(d) * A = M exactly, M having a pair of eigenvalues
+    on the imaginary axis: a trace-0 2x2 block with positive determinant,
+    alone or beside a positive entry (its second Routh lead is 0).  A =
+    diag(d)^-1 * M, so the float minors of A times d^alpha miss those of M
+    by rounding only."""
+    for _ in range(count):
+        m = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        w = Fraction(rng.randint(10, 30), rng.randint(1, 9))
+        block = [[m, w], [-(1 + m * m) / w, -m]]      # det = 1
+        rows = block if rng.random() < 0.5 else [
+            block[0] + [0], block[1] + [0],
+            [0, 0, Fraction(rng.randint(1, 30), rng.randint(1, 7))]]
+        d = [exp(rng.uniform(-5, 5)) for _ in rows]
+        yield Matrix([[x / Fraction(di) for x in row]
+                      for di, row in zip(d, rows)]), d
+
+
+def test_the_radius_keeps_marginal_scalings_unproved(monkeypatch):
+    """With the radius the screen proves none of these exactly marginal
+    scalings; with the radius set to 0 the midpoints alone prove some,
+    which is what the radius is there to stop."""
+    cases = list(marginal_cases(random.Random(19), 80))
+    for a, d in cases:
+        assert not is_positive_stable(scaled(a, d))
+        assert not _proved_stable(all_principal_minors(a), np.array([d]))[0]
+    monkeypatch.setattr(falsifier, "_U", 0.0)
+    monkeypatch.setattr(falsifier, "_FLOOR", 0.0)
+    assert sum(_proved_stable(all_principal_minors(a), np.array([d]))[0]
+               for a, d in cases) >= 5
+
+
+def test_the_screen_proves_every_sample_of_a_d_stable_matrix():
+    """Diagonal, triangular and symmetric positive definite matrices with a
+    positive diagonal are D-stable: the screen proves each of their probes
+    and draws at n=2..SCREEN_MAX_N."""
+    rng = random.Random(23)
+    for n in range(2, SCREEN_MAX_N + 1):
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        diagonal = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                    for _ in range(n)]
+        for a in (Matrix.diagonal(diagonal),
+                  Matrix([[diagonal[i] if i == j else
+                           Fraction(b[i][j], 7) * (j > i)
+                           for j in range(n)] for i in range(n)]),
+                  Matrix([[sum(b[i][k] * b[j][k] for k in range(n))
+                           + n * (i == j) for j in range(n)]
+                          for i in range(n)])):
+            table = all_principal_minors(a)
+            for _, chunk in _sample_chunks(n, 0, first_stage_trials(n), 0,
+                                           1e-3, 1e3):
+                assert _proved_stable(table, chunk).all()
+
+
+def test_no_screen_above_its_size_limit(monkeypatch):
+    """At n > SCREEN_MAX_N every sample goes to the eigensolver, and a
+    table passed in is not read."""
+    def refuse(*args):
+        raise AssertionError("screened above the size limit")
+
+    monkeypatch.setattr(falsifier, "_proved_stable", refuse)
+    n = SCREEN_MAX_N + 1
+    assert falsify(Matrix.identity(n), trials=60, minors=object()) is None
+    with pytest.raises(AssertionError):
+        falsify(Matrix.identity(SCREEN_MAX_N), trials=60)
 
 
 # ---------------------------------------------------------------------------
